@@ -17,7 +17,6 @@ from .corpus import (
 )
 from .evaluate import (
     ConfusionMatrix,
-    EvalConfig,
     ValueTolerance,
     accuracy,
     confusion,
@@ -41,7 +40,6 @@ from .mining import (
     count_token_frequencies,
     find_frequent_tokens,
     mine_clusters,
-    reduce_to_kpi_clusters,
     select_clusters,
 )
 from .parsing import KpiTable, ParsingPattern, compile_pattern, parse_corpus, parse_event

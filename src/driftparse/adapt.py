@@ -3,7 +3,7 @@
 Two strategies with opposite failure modes, both deliberately preserved:
 
 * Baum-Welch refit generalizes.  The model is re-estimated on the new
-  corpus and states whose expected usage falls below a relative floor are
+  corpus and states whose token usage falls below a relative floor are
   dropped from the required-token set, so the pattern gets shorter and
   more permissive (hit rate rises, false positives appear).
 
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .hmm import FitConfig, Hmm, baum_welch_fit, state_occupancy, viterbi_decode
-from .parsing import ParsingPattern
-from .preprocess import TokenSequence, is_number
+from .hmm import FitConfig, Hmm, baum_welch_fit, find_trigger_state, viterbi_decode
+from .parsing import ParsingPattern, normalize_aliases
+from .preprocess import TokenSequence
 
 DEFAULT_OCCUPANCY_FLOOR = 0.1
 DEFAULT_CONSENSUS_FRACTION = 0.8
@@ -30,7 +30,6 @@ DEFAULT_COVERAGE_FRACTION = 0.5
 
 
 class AdaptStrategy(Enum):
-    NONE = "none"
     BAUM_WELCH = "baum-welch"
     VITERBI = "viterbi"
 
@@ -62,24 +61,6 @@ def observation_sequences(states, corpus: list[TokenSequence]) -> list[list[str]
     return sequences
 
 
-def _retarget_trigger(pattern: ParsingPattern, kept: frozenset[str], corpus: list[TokenSequence]) -> str:
-    """Keep the trigger if it survived, else re-derive it among kept states."""
-    if pattern.trigger in kept:
-        return pattern.trigger
-    counts = {s: 0 for s in kept}
-    for line in corpus:
-        hit = set()
-        for a, b in zip(line.tokens, line.tokens[1:]):
-            if a in kept and is_number(b):
-                hit.add(a)
-        for s in hit:
-            counts[s] += 1
-    best = max(counts.values(), default=0)
-    if best == 0:
-        raise ValueError("no surviving state is followed by a numeric emission")
-    return min(s for s, n in counts.items() if n == best)
-
-
 def state_usage(states, corpus: list[TokenSequence]) -> dict[str, int]:
     """Occurrences of each state token across the corpus.
 
@@ -102,10 +83,17 @@ def adapt_baum_welch(
     model: Hmm,
     pattern: ParsingPattern,
     new_corpus: list[TokenSequence],
-    config: FitConfig = FitConfig(max_iterations=10, loglik_tolerance=1e-3),
+    config: FitConfig = FitConfig(),
     occupancy_floor: float = DEFAULT_OCCUPANCY_FLOOR,
 ) -> tuple[Hmm, ParsingPattern, AdaptReport]:
-    """Refit on the new corpus and drop starved states from the pattern."""
+    """Refit on the new corpus and drop starved states from the pattern.
+
+    The adapted pattern depends only on the state_usage token counts of the
+    new corpus: states used less than occupancy_floor times the mean usage
+    are dropped, and a dropped trigger is re-chosen among the kept states by
+    find_trigger_state.  The Baum-Welch refit does not affect the pattern;
+    it only produces the model returned here and saved into the bundle.
+    """
     if not new_corpus:
         raise ValueError("new_corpus must be non-empty")
     sequences = [s for s in observation_sequences(model.states, new_corpus) if s]
@@ -118,10 +106,10 @@ def adapt_baum_welch(
     kept = frozenset(s for s, occ in usage.items() if occ >= floor)
     if not kept:
         raise ValueError("refit retained no state above the occupancy floor")
-    trigger = _retarget_trigger(pattern, kept, new_corpus)
-    aliases = tuple(a for a in pattern.trigger_aliases if a in kept) or (trigger,)
-    if trigger not in aliases:
-        aliases = (trigger,) + aliases
+    trigger = pattern.trigger
+    if trigger not in kept:
+        trigger = find_trigger_state(kept, new_corpus)
+    aliases = normalize_aliases(trigger, [a for a in pattern.trigger_aliases if a in kept])
     adapted = replace(pattern, required_tokens=kept, trigger=trigger, trigger_aliases=aliases)
     report = AdaptReport(AdaptStrategy.BAUM_WELCH, pattern, adapted, tuple(trace))
     return fitted, adapted, report
@@ -132,12 +120,11 @@ def adapt_viterbi(
     pattern: ParsingPattern,
     new_corpus: list[TokenSequence],
     consensus_fraction: float = DEFAULT_CONSENSUS_FRACTION,
-    coverage_fraction: float = DEFAULT_COVERAGE_FRACTION,
 ) -> tuple[Hmm, ParsingPattern, AdaptReport]:
     """Decode the new corpus and add consistently aligned tokens to the pattern.
 
     Only high-confidence lines vote: a line must carry at least
-    coverage_fraction of the pattern's states, otherwise unrelated lines
+    DEFAULT_COVERAGE_FRACTION of the pattern's states, otherwise unrelated lines
     that merely share a token or two would dilute every consensus.
     """
     if not new_corpus:
@@ -145,7 +132,7 @@ def adapt_viterbi(
     if not 0 < consensus_fraction <= 1:
         raise ValueError("consensus_fraction must lie in (0, 1]")
     state_set = frozenset(model.states)
-    min_states = coverage_fraction * len(state_set)
+    min_states = DEFAULT_COVERAGE_FRACTION * len(state_set)
     sequences = observation_sequences(model.states, new_corpus)
     decoded = 0
     pair_line_counts: dict[tuple[str, int], int] = {}

@@ -17,7 +17,7 @@ from .hmm import Hmm
 from .mining import MiningConfig
 from .parsing import ParsingPattern
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class BundleError(ValueError):
@@ -48,7 +48,6 @@ def bundle_to_document(bundle: ModelBundle) -> dict:
         "mining_config": {
             "threshold": bundle.mining_config.threshold,
             "expected_kpi_count": bundle.mining_config.expected_kpi_count,
-            "containment_support": bundle.mining_config.containment_support,
         },
         "hmm": {
             "states": list(bundle.hmm.states),
@@ -114,7 +113,6 @@ def document_to_bundle(doc: dict) -> ModelBundle:
     mining_config = MiningConfig(
         threshold=_get(mc, "threshold", int, "$.mining_config"),
         expected_kpi_count=_get(mc, "expected_kpi_count", int, "$.mining_config"),
-        containment_support=_get(mc, "containment_support", bool, "$.mining_config"),
     )
 
     hm = _get(doc, "hmm", dict, "$")

@@ -25,7 +25,7 @@ from .corpus import (
     write_log,
     write_manifest,
 )
-from .evaluate import EvalConfig, ValueTolerance, confusion, format_confusion
+from .evaluate import ValueTolerance, confusion, format_confusion
 from .hmm import FitConfig
 from .parsing import KpiTable
 from .pipeline import parse_records, preprocess_corpus, train
@@ -161,8 +161,7 @@ def cmd_eval(args) -> int:
     with open(args.parsed, encoding="utf-8", newline="") as fh:
         parsed = KpiTable.from_csv(fh.read())
     truth = load_kpi_table(args.truth)
-    tolerance = ValueTolerance.EXACT_STRING if args.tolerance == "exact" else ValueTolerance.ROUNDED_TWO_DECIMALS
-    cm = confusion(parsed, truth, args.universe, EvalConfig(tolerance))
+    cm = confusion(parsed, truth, args.universe, ValueTolerance(args.tolerance))
     print(format_confusion(cm))
     if args.csv:
         _atomic_write(
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("log")
     p.add_argument("--strategy", choices=("baum-welch", "viterbi"), required=True)
     p.add_argument("--stopwords")
-    p.add_argument("--max-iterations", type=int, default=50)
+    p.add_argument("--max-iterations", type=int, default=FitConfig().max_iterations)
     p.add_argument("--occupancy-floor", type=float, default=DEFAULT_OCCUPANCY_FLOOR)
     p.add_argument("--consensus", type=float, default=DEFAULT_CONSENSUS_FRACTION)
     p.add_argument("--report", help="report path (default: <output>.report.json)")

@@ -93,22 +93,39 @@ class LogLoadResult:
 
 
 def load_log(path) -> LogLoadResult:
-    """Read a log file; malformed lines go to the rejects report."""
+    """Read a log file; malformed lines go to the rejects report.
+
+    Each line is decoded on its own, so a line that is not valid UTF-8 is
+    one reject and the rest still load.  The first line with a given event
+    id is kept; later lines with that id are rejects.
+    """
     result = LogLoadResult([], [])
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                result.rejects.append((lineno, f"expected 4 fields, got {len(parts)}", line))
-                continue
-            timestamp, event_type, event_id, text = parts
-            if not text:
-                result.rejects.append((lineno, "empty event text", line))
-                continue
-            result.records.append(EventRecord(event_id, timestamp, event_type, text))
+    first_seen: dict[str, int] = {}
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            reason = f"invalid UTF-8 at byte {exc.start} of the line"
+            result.rejects.append((lineno, reason, raw.decode("utf-8", "replace")))
+            continue
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            result.rejects.append((lineno, f"expected 4 fields, got {len(parts)}", line))
+            continue
+        timestamp, event_type, event_id, text = parts
+        if not text:
+            result.rejects.append((lineno, "empty event text", line))
+            continue
+        if event_id in first_seen:
+            reason = f"duplicate event id {event_id}, first on line {first_seen[event_id]}"
+            result.rejects.append((lineno, reason, line))
+            continue
+        first_seen[event_id] = lineno
+        result.records.append(EventRecord(event_id, timestamp, event_type, text))
     return result
 
 

@@ -23,11 +23,6 @@ class ValueTolerance(Enum):
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    value_tolerance: ValueTolerance = ValueTolerance.ROUNDED_TWO_DECIMALS
-
-
-@dataclass(frozen=True)
 class ConfusionMatrix:
     tp: int
     fp: int
@@ -53,19 +48,19 @@ def confusion(
     parsed: KpiTable,
     truth: KpiTable,
     universe_size: int,
-    config: EvalConfig = EvalConfig(),
+    tolerance: ValueTolerance = ValueTolerance.ROUNDED_TWO_DECIMALS,
 ) -> ConfusionMatrix:
     """Slot-count confusion matrix over an explicit comparison universe."""
     parsed_map = parsed.as_dict()
     truth_map = truth.as_dict()
     tp = fp = fn = 0
     for key, value in parsed_map.items():
-        if key in truth_map and _values_match(value, truth_map[key], config.value_tolerance):
+        if key in truth_map and _values_match(value, truth_map[key], tolerance):
             tp += 1
         else:
             fp += 1
     for key, value in truth_map.items():
-        if key not in parsed_map or not _values_match(parsed_map[key], value, config.value_tolerance):
+        if key not in parsed_map or not _values_match(parsed_map[key], value, tolerance):
             fn += 1
     tn = universe_size - tp - fp - fn
     if tn < 0:

@@ -31,8 +31,8 @@ class TriggerNotFoundError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    max_iterations: int = 50
-    loglik_tolerance: float = 1e-4
+    max_iterations: int = 10
+    loglik_tolerance: float = 1e-3
     smoothing_epsilon: float = 1e-6
 
     def __post_init__(self):
@@ -71,9 +71,6 @@ class Hmm:
             if bad.any():
                 raise ValueError(f"{name} row {int(np.argmax(bad))} does not sum to 1")
 
-    def state_index(self, token: str) -> int:
-        return self.states.index(token)
-
     def encode(self, observations: list[str]) -> np.ndarray:
         """Map observation tokens to emission indices; unknown -> OOV."""
         lookup = {tok: i for i, tok in enumerate(self.emissions)}
@@ -91,23 +88,17 @@ def _log(p: np.ndarray) -> np.ndarray:
         return np.log(p)
 
 
-def state_token_runs(tokens: tuple[str, ...], state_set: frozenset[str], strict_adjacency: bool):
-    """Split a line into its state-token subsequence and (state, follower) pairs.
+def state_token_runs(tokens: tuple[str, ...], state_set: frozenset[str]):
+    """Split a line into its state tokens, their bigrams and (state, follower) pairs.
 
-    Returns (state_sequence, emission_pairs) where emission_pairs holds
+    Returns (state_sequence, bigrams, emission_pairs): state_sequence is the
+    line's state-token subsequence, bigrams are its consecutive pairs (non-state
+    tokens in between are skipped), and emission_pairs holds
     (state_token, next_token) for every state occurrence whose successor is
-    a non-state token.  With strict_adjacency the state sequence only
-    chains physically adjacent state tokens.
+    a non-state token.
     """
     state_seq = [t for t in tokens if t in state_set]
-    if strict_adjacency:
-        bigrams = [
-            (tokens[i], tokens[i + 1])
-            for i in range(len(tokens) - 1)
-            if tokens[i] in state_set and tokens[i + 1] in state_set
-        ]
-    else:
-        bigrams = list(zip(state_seq, state_seq[1:]))
+    bigrams = list(zip(state_seq, state_seq[1:]))
     pairs = [
         (tokens[i], tokens[i + 1])
         for i in range(len(tokens) - 1)
@@ -120,15 +111,13 @@ def build_hmm(
     matching_lines: list[TokenSequence],
     cluster: PatternCluster,
     smoothing_epsilon: float = 1e-6,
-    strict_adjacency: bool = False,
 ) -> Hmm:
     """Construct the model from lines that all carry the cluster tokens.
 
     Start probabilities follow token occurrence counts; transitions are
     bigrams over the line's state-token subsequence (non-state tokens are
-    skipped unless strict_adjacency is set); emissions are the non-state
-    tokens observed immediately after a state token.  Counts are additively
-    smoothed and row-normalized.
+    skipped); emissions are the non-state tokens observed immediately after
+    a state token.  Counts are additively smoothed and row-normalized.
     """
     if not matching_lines:
         raise ValueError("matching_lines must be non-empty")
@@ -142,7 +131,7 @@ def build_hmm(
     trans_counts = np.zeros((len(states), len(states)))
     pair_counts: dict[tuple[str, str], int] = {}
     for line in matching_lines:
-        state_seq, bigrams, pairs = state_token_runs(line.tokens, state_set, strict_adjacency)
+        state_seq, bigrams, pairs = state_token_runs(line.tokens, state_set)
         for token in state_seq:
             start_counts[sidx[token]] += 1
         for a, b in bigrams:
@@ -233,14 +222,12 @@ def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
     ps_acc = np.zeros(n)
     pt_acc = np.zeros((n, n))
     pe_acc = np.zeros((m, n))
-    occupancy = np.zeros(n)
     total_ll = 0.0
     for _, (batch_obs, _) in _group_by_length(encoded).items():
         alpha, beta, loglik = _batched_forward_backward(log_ps, log_pt, log_pe, batch_obs)
         total_ll += float(loglik.sum())
         gamma = np.exp(alpha + beta - loglik[None, :, None])
         ps_acc += gamma[0].sum(axis=0)
-        occupancy += gamma.sum(axis=(0, 1))
         length = batch_obs.shape[1]
         for t in range(length):
             np.add.at(pe_acc, batch_obs[:, t], gamma[t])
@@ -249,7 +236,7 @@ def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
             log_xi = alpha[t][:, :, None] + log_pt[None, :, :] + inner
             log_xi -= loglik[:, None, None]
             pt_acc += np.exp(log_xi).sum(axis=0)
-    return ps_acc, pt_acc, pe_acc.T, occupancy, total_ll
+    return ps_acc, pt_acc, pe_acc.T, total_ll
 
 
 def _renormalize_or_keep(counts: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -302,7 +289,7 @@ def baum_welch_fit(
 
     trace: list[float] = []
     for _ in range(config.max_iterations):
-        ps_acc, pt_acc, pe_acc, _, total_ll = _expected_counts(current, encoded)
+        ps_acc, pt_acc, pe_acc, total_ll = _expected_counts(current, encoded)
         trace.append(total_ll)
         if len(trace) > 1 and total_ll - trace[-2] < config.loglik_tolerance:
             break
@@ -322,23 +309,14 @@ def baum_welch_fit(
     return fitted, trace
 
 
-def state_occupancy(model: Hmm, sequences: list[list[str]]) -> np.ndarray:
-    """Expected number of visits per state over the given sequences."""
-    encoded = [model.encode(seq) for seq in sequences if seq]
-    if not encoded:
-        return np.zeros(len(model.states))
-    _, _, _, occupancy, _ = _expected_counts(model, encoded)
-    return occupancy
-
-
-def find_trigger_state(model: Hmm, training_lines: list[TokenSequence]) -> int:
-    """State whose token precedes a numeric token in the most lines.
+def find_trigger_state(states, lines: list[TokenSequence]) -> str:
+    """The state token that precedes a numeric token in the most lines.
 
     Ties break lexicographically on the state token.
     """
-    state_set = frozenset(model.states)
-    counts = {s: 0 for s in model.states}
-    for line in training_lines:
+    state_set = frozenset(states)
+    counts = {s: 0 for s in states}
+    for line in lines:
         hit = set()
         for a, b in zip(line.tokens, line.tokens[1:]):
             if a in state_set and is_number(b):
@@ -348,5 +326,4 @@ def find_trigger_state(model: Hmm, training_lines: list[TokenSequence]) -> int:
     best = max(counts.values())
     if best == 0:
         raise TriggerNotFoundError("no state is followed by a numeric emission")
-    winner = min(s for s, n in counts.items() if n == best)
-    return model.state_index(winner)
+    return min(s for s, n in counts.items() if n == best)

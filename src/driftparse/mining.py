@@ -11,7 +11,7 @@ resulting pattern to lines carrying that value.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .preprocess import TokenSequence
 
@@ -33,13 +33,12 @@ class MiningConfig:
 
     threshold is both the frequent-token cutoff and the cluster support
     cutoff; by convention it is the number of ground-truth KPI rows for
-    the training window.  containment_support switches candidate support
-    from exact-subset equality to subset containment.
+    the training window.  expected_kpi_count is how many top clusters
+    mining keeps.
     """
 
     threshold: int
     expected_kpi_count: int = 1
-    containment_support: bool = False
 
     def __post_init__(self):
         if self.threshold < 1:
@@ -50,11 +49,9 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class ClusterSelection:
-    """Reduction result; shortfall is set when fewer clusters existed than requested."""
+    """The top clusters, best first; fewer than requested when fewer qualified."""
 
     clusters: tuple[PatternCluster, ...]
-    requested: int
-    shortfall: bool
 
 
 def count_token_frequencies(corpus: list[TokenSequence]) -> Counter:
@@ -75,26 +72,18 @@ def find_frequent_tokens(freqs: Counter, threshold: int) -> frozenset[str]:
 def build_cluster_candidates(
     corpus: list[TokenSequence],
     frequent: frozenset[str],
-    containment_support: bool = False,
 ) -> list[PatternCluster]:
     """One candidate per distinct frequent-token subset seen in a line.
 
     Support counts lines whose frequent subset equals the candidate's token
-    set (default), or contains it when containment_support is on.  Lines
-    sharing no token with the frequent set contribute nothing.
+    set.  Lines sharing no token with the frequent set contribute nothing.
     """
     subset_counts = Counter()
     for line in corpus:
         subset = line.token_set() & frequent
         if subset:
             subset_counts[subset] += 1
-    if not containment_support:
-        return [PatternCluster(frozenset(s), n) for s, n in subset_counts.items()]
-    candidates = []
-    for subset in subset_counts:
-        support = sum(n for other, n in subset_counts.items() if subset <= other)
-        candidates.append(PatternCluster(frozenset(subset), support))
-    return candidates
+    return [PatternCluster(frozenset(s), n) for s, n in subset_counts.items()]
 
 
 def select_clusters(candidates: list[PatternCluster], threshold: int) -> list[PatternCluster]:
@@ -107,21 +96,10 @@ def select_clusters(candidates: list[PatternCluster], threshold: int) -> list[Pa
     return sorted(kept, key=PatternCluster.sort_key)
 
 
-def reduce_to_kpi_clusters(clusters: list[PatternCluster], expected_kpi_count: int) -> ClusterSelection:
-    """Top clusters by support, one per expected KPI."""
-    if expected_kpi_count < 1:
-        raise ValueError("expected_kpi_count must be >= 1")
-    ordered = sorted(clusters, key=PatternCluster.sort_key)
-    chosen = tuple(ordered[:expected_kpi_count])
-    return ClusterSelection(chosen, expected_kpi_count, len(chosen) < expected_kpi_count)
-
-
 def mine_clusters(corpus: list[TokenSequence], config: MiningConfig) -> ClusterSelection:
-    """Full mining pass: frequencies -> frequent tokens -> candidates -> selection."""
+    """Full mining pass: frequencies -> frequent tokens -> candidates -> top clusters."""
     freqs = count_token_frequencies(corpus)
     frequent = find_frequent_tokens(freqs, config.threshold)
-    if not frequent:
-        return ClusterSelection((), config.expected_kpi_count, True)
-    candidates = build_cluster_candidates(corpus, frequent, config.containment_support)
+    candidates = build_cluster_candidates(corpus, frequent)
     selected = select_clusters(candidates, config.threshold)
-    return reduce_to_kpi_clusters(selected, config.expected_kpi_count)
+    return ClusterSelection(tuple(selected[: config.expected_kpi_count]))

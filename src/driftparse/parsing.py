@@ -75,18 +75,22 @@ class KpiTable:
         return table
 
 
+def normalize_aliases(trigger: str, aliases) -> tuple[str, ...]:
+    """The aliases as a tuple, with the trigger put first when it is missing."""
+    aliases = tuple(aliases or ())
+    if trigger not in aliases:
+        aliases = (trigger,) + aliases
+    return aliases
+
+
 def compile_pattern(
     model: Hmm,
-    trigger_state: int,
+    trigger: str,
     kpi_name: str,
     aliases: list[str] | None = None,
 ) -> ParsingPattern:
-    """Combine model states with the most-emitting state into a pattern."""
-    trigger = model.states[trigger_state]
-    alias_list = tuple(aliases) if aliases else (trigger,)
-    if trigger not in alias_list:
-        alias_list = (trigger,) + alias_list
-    return ParsingPattern(frozenset(model.states), trigger, kpi_name, alias_list)
+    """Combine model states with the trigger state token into a pattern."""
+    return ParsingPattern(frozenset(model.states), trigger, kpi_name, normalize_aliases(trigger, aliases))
 
 
 def parse_event(pattern: ParsingPattern, line: TokenSequence) -> str | None:

@@ -26,7 +26,6 @@ def train(
     threshold: int | None = None,
     aliases: list[str] | None = None,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    smoothing_epsilon: float = 1e-6,
     provenance: str = "",
 ) -> ModelBundle:
     """Learn a parsing pattern from example logs plus a ground-truth table.
@@ -46,8 +45,8 @@ def train(
         raise TrainingError(f"no cluster reached the support threshold {threshold}")
     cluster = selection.clusters[0]
     matching = [line for line in corpus if cluster.tokens <= line.token_set()]
-    model = build_hmm(matching, cluster, smoothing_epsilon)
-    trigger = find_trigger_state(model, matching)
+    model = build_hmm(matching, cluster)
+    trigger = find_trigger_state(model.states, matching)
     pattern = compile_pattern(model, trigger, kpi_name, aliases)
     return ModelBundle(model, pattern, config, provenance)
 

@@ -63,6 +63,12 @@ class TestValidation:
         with pytest.raises(BundleError, match="format_version"):
             document_to_bundle(doc)
 
+    def test_v1_document_rejected(self, bundle_a):
+        doc = doc_of(bundle_a)
+        doc["format_version"] = 1
+        with pytest.raises(BundleError, match="format_version 1"):
+            document_to_bundle(doc)
+
     def test_missing_field_names_path(self, bundle_a):
         doc = doc_of(bundle_a)
         del doc["hmm"]["ps"]

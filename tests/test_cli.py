@@ -1,9 +1,12 @@
+import inspect
 import json
 
 import pytest
 
-from driftparse.cli import main
+from driftparse.adapt import DEFAULT_CONSENSUS_FRACTION, DEFAULT_OCCUPANCY_FLOOR, adapt_baum_welch
+from driftparse.cli import build_parser, main
 from driftparse.corpus import file_digest
+from driftparse.hmm import FitConfig
 from driftparse.parsing import KpiTable
 
 from .conftest import A_SEED, B_SEED
@@ -82,6 +85,37 @@ class TestParseEval:
         truth = KpiTable.from_csv((workdir / "a/truth.csv").read_text())
         assert parsed.as_dict() == truth.as_dict()
 
+    def test_duplicate_event_line_parses_to_valid_eval_input(self, workdir, tmp_path, capsys):
+        log_text = (workdir / "a/log.tsv").read_text()
+        scan_line = next(line for line in log_text.splitlines() if "\tscan\t" in line)
+        log = tmp_path / "log.tsv"
+        log.write_text(log_text + scan_line + "\n")
+        out_csv = tmp_path / "parsed.csv"
+        code, _, err = run(capsys, "parse", str(workdir / "model.json"), str(log), "-o", str(out_csv))
+        assert code == 0
+        assert "duplicate event id" in err
+        parsed = KpiTable.from_csv(out_csv.read_text())
+        truth = KpiTable.from_csv((workdir / "a/truth.csv").read_text())
+        assert parsed.as_dict() == truth.as_dict()
+        code, _, _ = run(capsys, "eval", str(out_csv), str(workdir / "a/truth.csv"),
+                         "--universe", "4000")
+        assert code == 0
+
+    def test_invalid_utf8_line_is_one_reject(self, workdir, tmp_path, capsys):
+        lines = (workdir / "a/log.tsv").read_bytes().splitlines(keepends=True)
+        lines[49] = lines[49].rstrip(b"\n") + b"\xff\n"
+        log = tmp_path / "log.tsv"
+        log.write_bytes(b"".join(lines))
+        out_csv = tmp_path / "parsed.csv"
+        code, out, err = run(capsys, "parse", str(workdir / "model.json"), str(log), "-o", str(out_csv))
+        assert code == 0
+        assert f"{log}:50: invalid UTF-8" in err
+        assert f"from {len(lines) - 1} lines" in out
+        truth = KpiTable.from_csv((workdir / "a/truth.csv").read_text()).as_dict()
+        parsed = KpiTable.from_csv(out_csv.read_text()).as_dict()
+        assert len(parsed) >= len(truth) - 1
+        assert all(truth[key] == value for key, value in parsed.items())
+
     def test_eval_prints_matrix_and_writes_csv(self, workdir, tmp_path, capsys):
         counts_csv = tmp_path / "counts.csv"
         code, out, _ = run(
@@ -145,6 +179,17 @@ class TestAdapt:
         assert "strategy: viterbi" in out
         report = json.loads(report_path.read_text())
         assert len(report["required_tokens_after"]) > len(report["required_tokens_before"])
+
+
+class TestDefaults:
+    def test_adapt_defaults_match_library(self):
+        args = build_parser().parse_args(
+            ["adapt", "model.json", "log.tsv", "--strategy", "baum-welch", "-o", "out.json"]
+        )
+        assert args.max_iterations == FitConfig().max_iterations
+        assert args.occupancy_floor == DEFAULT_OCCUPANCY_FLOOR
+        assert args.consensus == DEFAULT_CONSENSUS_FRACTION
+        assert inspect.signature(adapt_baum_welch).parameters["config"].default == FitConfig()
 
 
 class TestInspect:

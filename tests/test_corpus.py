@@ -110,6 +110,36 @@ class TestLogIo:
             (3, "empty event text"),
         ]
 
+    def test_duplicate_event_id_keeps_first_line(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_text(
+            "t1\tscan\te1\tfirst text\n"
+            "t2\tscan\te2\tother text\n"
+            "t3\tscan\te1\trepeated text\n"
+        )
+        result = load_log(path)
+        assert [(r.event_id, r.text) for r in result.records] == [
+            ("e1", "first text"),
+            ("e2", "other text"),
+        ]
+        assert [(lineno, reason) for lineno, reason, _ in result.rejects] == [
+            (3, "duplicate event id e1, first on line 1"),
+        ]
+
+    def test_invalid_utf8_line_rejected_others_load(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_bytes(
+            b"t1\tscan\te1\tgood text\n"
+            b"t2\tscan\te2\tbad \xff byte\n"
+            b"t3\tscan\te3\tm\xc3\xa5re text\n"
+        )
+        result = load_log(path)
+        assert [r.event_id for r in result.records] == ["e1", "e3"]
+        assert result.records[1].text == "m\u00e5re text"
+        assert [(lineno, reason) for lineno, reason, _ in result.rejects] == [
+            (2, "invalid UTF-8 at byte 15 of the line"),
+        ]
+
     def test_load_kpi_table_normalizes(self, tmp_path):
         path = tmp_path / "truth.csv"
         path.write_text("event_id,kpi,value\ne1,ctdi,16.660\n")

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from driftparse.evaluate import (
     ConfusionMatrix,
-    EvalConfig,
     ValueTolerance,
     accuracy,
     confusion,
@@ -41,7 +40,7 @@ class TestConfusion:
             table(("e1", "1.004")),
             table(("e1", "1.00")),
             10,
-            EvalConfig(ValueTolerance.ROUNDED_TWO_DECIMALS),
+            ValueTolerance.ROUNDED_TWO_DECIMALS,
         )
         assert cm.tp == 1
 
@@ -50,7 +49,7 @@ class TestConfusion:
             table(("e1", "1.004")),
             table(("e1", "1.00")),
             10,
-            EvalConfig(ValueTolerance.EXACT_STRING),
+            ValueTolerance.EXACT_STRING,
         )
         assert (cm.tp, cm.fp, cm.fn) == (0, 1, 1)
 

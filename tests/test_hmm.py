@@ -15,7 +15,6 @@ from driftparse.hmm import (
     extend_alphabet,
     find_trigger_state,
     sequence_loglikelihood,
-    state_occupancy,
     viterbi_decode,
 )
 from driftparse.mining import PatternCluster
@@ -220,16 +219,6 @@ class TestBuildHmm:
         assert model.pe[ai, xi] == pytest.approx(1.0, abs=1e-6)  # a emits only x
         assert model.pe[bi, yi] == pytest.approx(1.0, abs=1e-6)
 
-    def test_strict_adjacency_drops_skipping_bigram(self):
-        corpus = self.lines(["a", "x", "b"])
-        loose = build_hmm(corpus, PatternCluster(frozenset({"a", "b"}), 1), smoothing_epsilon=1e-9)
-        strict = build_hmm(
-            corpus, PatternCluster(frozenset({"a", "b"}), 1),
-            smoothing_epsilon=1e-9, strict_adjacency=True,
-        )
-        assert loose.pt[0, 1] == pytest.approx(1.0, abs=1e-6)
-        assert strict.pt[0, 1] == pytest.approx(0.5, abs=1e-6)  # uniform, no counts
-
     def test_oov_column_is_last_and_small(self):
         corpus = self.lines(["a", "x"])
         model = build_hmm(corpus, PatternCluster(frozenset({"a"}), 1))
@@ -313,63 +302,32 @@ class TestBaumWelch:
         fitted.validate()
 
 
-class TestOccupancy:
-    def test_sums_to_total_observations(self):
-        model = make_hmm(
-            [0.6, 0.4],
-            [[0.7, 0.3], [0.2, 0.8]],
-            [[0.5, 0.4, 0.1], [0.1, 0.8, 0.1]],
-        )
-        seqs = [["e0", "e1", "e0"], ["e1"]]
-        occ = state_occupancy(model, seqs)
-        assert occ.sum() == pytest.approx(4.0)
-        assert np.all(occ >= 0)
-
-    def test_empty_input_gives_zeros(self):
-        model = make_hmm([1.0], [[1.0]], [[0.5, 0.5]])
-        assert state_occupancy(model, []).tolist() == [0.0]
-
-
 class TestTrigger:
     def lines(self, *token_lists):
         return [TokenSequence(f"e{i}", tuple(t)) for i, t in enumerate(token_lists)]
 
-    def fixed_model(self, states):
-        n = len(states)
-        return make_hmm(
-            np.full(n, 1 / n),
-            np.full((n, n), 1 / n),
-            np.full((n, 2), 0.5),
-            states=states,
-            emissions=("x", OOV_TOKEN),
-        )
-
     def test_picks_most_frequent_numeric_follower(self):
-        model = self.fixed_model(("ctdi", "kv"))
         corpus = self.lines(
             ["kv", "120.00", "ctdi", "16.66"],
             ["ctdi", "3.20"],
         )
-        assert model.states[find_trigger_state(model, corpus)] == "ctdi"
+        assert find_trigger_state(("ctdi", "kv"), corpus) == "ctdi"
 
     def test_tie_breaks_lexicographically(self):
-        model = self.fixed_model(("beta", "alpha"))
         corpus = self.lines(["beta", "1.00", "alpha", "2.00"])
-        assert model.states[find_trigger_state(model, corpus)] == "alpha"
+        assert find_trigger_state(("beta", "alpha"), corpus) == "alpha"
 
     def test_counts_lines_not_occurrences(self):
-        model = self.fixed_model(("a", "b"))
         corpus = self.lines(
             ["a", "1.00", "a", "2.00", "a", "3.00"],
             ["b", "1.00"],
             ["b", "2.00"],
         )
-        assert model.states[find_trigger_state(model, corpus)] == "b"
+        assert find_trigger_state(("a", "b"), corpus) == "b"
 
     def test_no_numeric_follower_raises(self):
-        model = self.fixed_model(("a",))
         with pytest.raises(TriggerNotFoundError):
-            find_trigger_state(model, self.lines(["a", "word"]))
+            find_trigger_state(("a",), self.lines(["a", "word"]))
 
     def test_trained_model_trigger_is_kpi_token(self, bundle_a):
         assert bundle_a.pattern.trigger == "ctdi"

@@ -10,7 +10,6 @@ from driftparse.mining import (
     count_token_frequencies,
     find_frequent_tokens,
     mine_clusters,
-    reduce_to_kpi_clusters,
     select_clusters,
 )
 from driftparse.preprocess import TokenSequence
@@ -58,13 +57,6 @@ class TestCandidates:
         corpus = lines(["x", "y"])
         assert build_cluster_candidates(corpus, frozenset({"a"})) == []
 
-    def test_containment_support_counts_supersets(self):
-        corpus = lines(["a"], ["a", "b"])
-        cands = build_cluster_candidates(corpus, frozenset({"a", "b"}), containment_support=True)
-        by_tokens = {c.tokens: c.support for c in cands}
-        assert by_tokens[frozenset({"a"})] == 2
-        assert by_tokens[frozenset({"a", "b"})] == 1
-
 
 class TestSelection:
     def test_threshold_cut(self):
@@ -87,15 +79,9 @@ class TestSelection:
         ]
 
     def test_reduce_picks_top(self):
-        cands = [PatternCluster(frozenset({c}), n) for c, n in (("a", 3), ("b", 9), ("c", 5))]
-        sel = reduce_to_kpi_clusters(cands, 1)
+        corpus = lines(*([c] for c, n in (("a", 3), ("b", 9), ("c", 5)) for _ in range(n)))
+        sel = mine_clusters(corpus, MiningConfig(threshold=1))
         assert sel.clusters == (PatternCluster(frozenset({"b"}), 9),)
-        assert not sel.shortfall
-
-    def test_reduce_flags_shortfall(self):
-        sel = reduce_to_kpi_clusters([], 1)
-        assert sel.clusters == ()
-        assert sel.shortfall
 
 
 class TestProperties:

@@ -32,7 +32,7 @@ class TestPattern:
         class FakeModel:
             states = ("ctdi", "kv")
 
-        p = compile_pattern(FakeModel(), 0, "ctdi", aliases=["ctdivol"])
+        p = compile_pattern(FakeModel(), "ctdi", "ctdi", aliases=["ctdivol"])
         assert p.trigger == "ctdi"
         assert p.trigger_aliases == ("ctdi", "ctdivol")
         assert p.required_tokens == frozenset({"ctdi", "kv"})
