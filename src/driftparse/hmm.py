@@ -1,9 +1,10 @@
 """Discrete-observation hidden Markov model over log-line tokens.
 
 States are the mined pattern tokens; emissions are the value tokens
-observed immediately after them.  All arithmetic is in log-space
-(log-sum-exp for evaluation, max-plus for decoding) so that sequences of
-thousands of symbols never underflow.
+observed immediately after them.  The forward-backward pass works in
+probability space with the forward variables rescaled to sum to 1 at every
+step (Rabiner 1989, section V.A), and Viterbi decoding is max-plus in
+log-space, so that sequences of thousands of symbols never underflow.
 
 Unknown symbols at inference time map to a reserved out-of-vocabulary
 emission column that carries only smoothing-floor mass; drifted logs
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .mining import PatternCluster
 from .preprocess import TokenSequence, is_number
@@ -153,16 +153,32 @@ def build_hmm(
     return model
 
 
+def _forward(model: Hmm, obs: np.ndarray):
+    """Scaled forward pass over encoded observations.
+
+    Returns (alpha, scale, emit): alpha[t] is the forward variable rescaled
+    to sum to 1, scale[t] the factor it was divided by (the log-likelihood
+    is the sum of log(scale)) and emit[t] the column pe[:, obs[t]].  An
+    impossible sequence stops at its first zero scale; alpha stops before it.
+    """
+    emit = model.pe[:, obs].T
+    alpha = np.empty_like(emit)
+    scale = np.empty(len(obs))
+    for t in range(len(obs)):
+        a = (model.ps if t == 0 else alpha[t - 1] @ model.pt) * emit[t]
+        scale[t] = a.sum()
+        if scale[t] == 0:
+            return alpha[:t], scale[: t + 1], emit
+        alpha[t] = a / scale[t]
+    return alpha, scale, emit
+
+
 def sequence_loglikelihood(model: Hmm, observations: list[str]) -> float:
-    """Forward algorithm: log-probability of the sequence over all paths."""
+    """Forward algorithm: log-probability of the sequence over all paths (-inf if none)."""
     if not observations:
         raise ValueError("observation sequence must be non-empty")
-    obs = model.encode(observations)
-    log_ps, log_pt, log_pe = _log(model.ps), _log(model.pt), _log(model.pe)
-    alpha = log_ps + log_pe[:, obs[0]]
-    for o in obs[1:]:
-        alpha = logsumexp(alpha[:, None] + log_pt, axis=0) + log_pe[:, o]
-    return float(logsumexp(alpha))
+    _, scale, _ = _forward(model, model.encode(observations))
+    return float(_log(scale).sum())
 
 
 def viterbi_decode(model: Hmm, observations: list[str]) -> tuple[list[int], float]:
@@ -188,54 +204,29 @@ def viterbi_decode(model: Hmm, observations: list[str]) -> tuple[list[int], floa
     return path, float(np.max(delta))
 
 
-def _group_by_length(encoded: list[np.ndarray]) -> dict[int, tuple[np.ndarray, list[int]]]:
-    groups: dict[int, list[int]] = {}
-    for i, obs in enumerate(encoded):
-        groups.setdefault(len(obs), []).append(i)
-    return {
-        length: (np.stack([encoded[i] for i in members]), members)
-        for length, members in groups.items()
-    }
-
-
-def _batched_forward_backward(log_ps, log_pt, log_pe, batch_obs):
-    """alpha, beta (T, B, N) and per-sequence log-likelihoods for one length group."""
-    batch, length = batch_obs.shape
-    n = log_ps.shape[0]
-    alpha = np.empty((length, batch, n))
-    alpha[0] = log_ps[None, :] + log_pe[:, batch_obs[:, 0]].T
-    for t in range(1, length):
-        alpha[t] = logsumexp(alpha[t - 1][:, :, None] + log_pt[None, :, :], axis=1)
-        alpha[t] += log_pe[:, batch_obs[:, t]].T
-    beta = np.zeros((length, batch, n))
-    for t in range(length - 2, -1, -1):
-        inner = (log_pe[:, batch_obs[:, t + 1]].T + beta[t + 1])[:, None, :]
-        beta[t] = logsumexp(log_pt[None, :, :] + inner, axis=2)
-    loglik = logsumexp(alpha[-1], axis=1)
-    return alpha, beta, loglik
-
-
 def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
-    """One E-step over all sequences: expected start/transition/emission counts."""
+    """One E-step over all sequences: expected start/transition/emission counts.
+
+    The backward variables of each sequence are divided by the forward
+    pass's scales, so alpha * beta is the state posterior at every step.
+    """
     n, m = len(model.states), len(model.emissions)
-    log_ps, log_pt, log_pe = _log(model.ps), _log(model.pt), _log(model.pe)
     ps_acc = np.zeros(n)
     pt_acc = np.zeros((n, n))
     pe_acc = np.zeros((m, n))
     total_ll = 0.0
-    for _, (batch_obs, _) in _group_by_length(encoded).items():
-        alpha, beta, loglik = _batched_forward_backward(log_ps, log_pt, log_pe, batch_obs)
-        total_ll += float(loglik.sum())
-        gamma = np.exp(alpha + beta - loglik[None, :, None])
-        ps_acc += gamma[0].sum(axis=0)
-        length = batch_obs.shape[1]
-        for t in range(length):
-            np.add.at(pe_acc, batch_obs[:, t], gamma[t])
-        for t in range(length - 1):
-            inner = (log_pe[:, batch_obs[:, t + 1]].T + beta[t + 1])[:, None, :]
-            log_xi = alpha[t][:, :, None] + log_pt[None, :, :] + inner
-            log_xi -= loglik[:, None, None]
-            pt_acc += np.exp(log_xi).sum(axis=0)
+    for obs in encoded:
+        alpha, scale, emit = _forward(model, obs)
+        if len(alpha) < len(obs):
+            raise ValueError("a training sequence has probability zero under the model")
+        beta = np.ones_like(alpha)
+        for t in range(len(obs) - 2, -1, -1):
+            beta[t] = model.pt @ (emit[t + 1] * beta[t + 1]) / scale[t + 1]
+        gamma = alpha * beta
+        total_ll += float(np.log(scale).sum())
+        ps_acc += gamma[0]
+        np.add.at(pe_acc, obs, gamma)
+        pt_acc += model.pt * (alpha[:-1].T @ (emit[1:] * beta[1:] / scale[1:, None]))
     return ps_acc, pt_acc, pe_acc.T, total_ll
 
 

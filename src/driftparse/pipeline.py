@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .bundle import ModelBundle
-from .hmm import build_hmm, find_trigger_state
+from .hmm import TriggerNotFoundError, build_hmm, find_trigger_state
 from .mining import MiningConfig, mine_clusters
 from .parsing import KpiTable, ParsingPattern, compile_pattern, parse_corpus
 from .preprocess import DEFAULT_STOPWORDS, EventRecord, TokenSequence, preprocess_event
@@ -32,7 +32,8 @@ def train(
 
     The mining threshold defaults to the number of truth rows for the
     training window, which is the number of KPI occurrences the pattern
-    is expected to cover.
+    is expected to cover.  The best-supported cluster that has a trigger
+    state wins; one with no number after any of its tokens is passed over.
     """
     if threshold is None:
         threshold = len(truth.rows)
@@ -40,15 +41,18 @@ def train(
         raise TrainingError("threshold would be zero: the truth table has no rows")
     corpus = preprocess_corpus(records, stopwords)
     config = MiningConfig(threshold=threshold, expected_kpi_count=1)
-    selection = mine_clusters(corpus, config)
-    if not selection.clusters:
-        raise TrainingError(f"no cluster reached the support threshold {threshold}")
-    cluster = selection.clusters[0]
-    matching = [line for line in corpus if cluster.tokens <= line.token_set()]
-    model = build_hmm(matching, cluster)
-    trigger = find_trigger_state(model.states, matching)
-    pattern = compile_pattern(model, trigger, kpi_name, aliases)
-    return ModelBundle(model, pattern, config, provenance)
+    # every cluster at the threshold, best first: there are at most as many as lines
+    every = MiningConfig(threshold=threshold, expected_kpi_count=max(len(corpus), 1))
+    for cluster in mine_clusters(corpus, every).clusters:
+        matching = [line for line in corpus if cluster.tokens <= line.token_set()]
+        try:
+            trigger = find_trigger_state(cluster.tokens, matching)
+        except TriggerNotFoundError:
+            continue
+        model = build_hmm(matching, cluster)
+        pattern = compile_pattern(model, trigger, kpi_name, aliases)
+        return ModelBundle(model, pattern, config, provenance)
+    raise TrainingError(f"no cluster with support >= {threshold} has a trigger state")
 
 
 def parse_records(

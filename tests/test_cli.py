@@ -74,6 +74,21 @@ class TestTrain:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_status_cluster_on_top_is_passed_over(self, tmp_path, capsys):
+        # at seed 6 the status lines outnumber the scan lines, and no number
+        # follows "statu"; the scan cluster below it carries the trigger
+        code, _, _ = run(capsys, "gen", "--seed", "6", "--events", "1000", "-o", str(tmp_path / "d"))
+        assert code == 0
+        log, truth = str(tmp_path / "d/log.tsv"), str(tmp_path / "d/truth.csv")
+        code, out, _ = run(capsys, "train", log, truth, "-o", str(tmp_path / "m.json"))
+        assert code == 0
+        assert "trigger: ctdi" in out
+        code, _, _ = run(capsys, "parse", str(tmp_path / "m.json"), log, "-o", str(tmp_path / "p.csv"))
+        assert code == 0
+        code, out, _ = run(capsys, "eval", str(tmp_path / "p.csv"), truth, "--universe", "4000")
+        assert code == 0
+        assert "sensitivity 100.0%" in out
+
 
 class TestParseEval:
     def test_parse_recovers_truth(self, workdir, tmp_path, capsys):

@@ -1,15 +1,21 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import driftparse
 from driftparse.hmm import (
     OOV_TOKEN,
     FitConfig,
     Hmm,
     TriggerNotFoundError,
+    _expected_counts,
     baum_welch_fit,
     build_hmm,
     extend_alphabet,
@@ -44,6 +50,32 @@ def brute_force_loglik(model, observations):
             p *= model.pt[path[t - 1], path[t]] * model.pe[path[t], obs[t]]
         total += p
     return math.log(total)
+
+
+def brute_force_expected_counts(model, sequences):
+    """E-step by enumeration: posterior-weighted start, transition and
+    emission counts summed over sequences, plus the total log-likelihood."""
+    n, m = model.pe.shape
+    ps_acc, pt_acc, pe_acc = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
+    total_ll = 0.0
+    for observations in sequences:
+        obs = model.encode(observations)
+        joint = {}
+        for path in itertools.product(range(n), repeat=len(obs)):
+            p = model.ps[path[0]] * model.pe[path[0], obs[0]]
+            for t in range(1, len(obs)):
+                p *= model.pt[path[t - 1], path[t]] * model.pe[path[t], obs[t]]
+            joint[path] = p
+        evidence = sum(joint.values())
+        total_ll += math.log(evidence)
+        for path, p in joint.items():
+            w = p / evidence
+            ps_acc[path[0]] += w
+            for t in range(len(obs)):
+                pe_acc[path[t], obs[t]] += w
+            for t in range(1, len(obs)):
+                pt_acc[path[t - 1], path[t]] += w
+    return ps_acc, pt_acc, pe_acc, total_ll
 
 
 def brute_force_viterbi(model, observations):
@@ -160,6 +192,36 @@ class TestForward:
         model = make_hmm([1.0], [[1.0]], [[0.5, 0.5]])
         with pytest.raises(ValueError):
             sequence_loglikelihood(model, [])
+
+    def test_impossible_sequence_is_minus_infinity(self):
+        # no state emits e1, so every path has probability zero
+        model = make_hmm(
+            [0.6, 0.4],
+            [[0.7, 0.3], [0.2, 0.8]],
+            [[0.5, 0.0, 0.5], [0.9, 0.0, 0.1]],
+        )
+        assert sequence_loglikelihood(model, ["e0", "e1", "e0"]) == -math.inf
+        with pytest.raises(ValueError, match="probability zero"):
+            _expected_counts(model, [model.encode(["e0", "e1", "e0"])])
+
+
+class TestExpectedCounts:
+    @given(
+        random_model.flatmap(
+            lambda m: st.tuples(st.just(m), st.lists(obs_for(m, 6), min_size=1, max_size=4))
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_enumeration(self, model_seqs):
+        model, sequences = model_seqs
+        ps_acc, pt_acc, pe_acc, total_ll = _expected_counts(
+            model, [model.encode(seq) for seq in sequences]
+        )
+        oracle = brute_force_expected_counts(model, sequences)
+        assert ps_acc == pytest.approx(oracle[0], rel=1e-9)
+        assert pt_acc == pytest.approx(oracle[1], rel=1e-9)
+        assert pe_acc == pytest.approx(oracle[2], rel=1e-9)
+        assert total_ll == pytest.approx(oracle[3], rel=1e-9)
 
 
 class TestViterbi:
@@ -331,3 +393,17 @@ class TestTrigger:
 
     def test_trained_model_trigger_is_kpi_token(self, bundle_a):
         assert bundle_a.pattern.trigger == "ctdi"
+
+
+def test_import_needs_only_numpy_beyond_the_standard_library():
+    code = (
+        "import sys; before = set(sys.modules); import driftparse; "
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names)))"
+    )
+    src = str(Path(driftparse.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "['driftparse', 'numpy']"
