@@ -23,6 +23,7 @@ def main():
     # at least `threshold` lines, and lines with the same frequent-token
     # subset collapse into one cluster. The threshold defaults to the
     # number of truth rows, i.e. how many lines the pattern must cover.
+    # mine_clusters returns every cluster at the threshold, best first.
     selection = mine_clusters(corpus, MiningConfig(threshold=len(truth.rows)))
     cluster = selection.clusters[0]
     print(f"top cluster: support {cluster.support}, {len(cluster.tokens)} tokens")

@@ -2,7 +2,6 @@
 
 from .adapt import (
     AdaptReport,
-    AdaptStrategy,
     adapt_baum_welch,
     adapt_viterbi,
 )
@@ -17,7 +16,6 @@ from .corpus import (
 )
 from .evaluate import (
     ConfusionMatrix,
-    ValueTolerance,
     accuracy,
     confusion,
     sensitivity,

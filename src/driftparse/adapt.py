@@ -16,9 +16,8 @@ Two strategies with opposite failure modes, both deliberately preserved:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
-from .hmm import FitConfig, Hmm, baum_welch_fit, find_trigger_state, viterbi_decode
+from .hmm import FitConfig, Hmm, baum_welch_fit, find_trigger_state, state_usage, viterbi_decode
 from .parsing import ParsingPattern, normalize_aliases
 from .preprocess import TokenSequence
 
@@ -29,14 +28,8 @@ DEFAULT_CONSENSUS_FRACTION = 0.8
 DEFAULT_COVERAGE_FRACTION = 0.5
 
 
-class AdaptStrategy(Enum):
-    BAUM_WELCH = "baum-welch"
-    VITERBI = "viterbi"
-
-
 @dataclass(frozen=True)
 class AdaptReport:
-    strategy: AdaptStrategy
     pattern_before: ParsingPattern
     pattern_after: ParsingPattern
     loglik_trace: tuple[float, ...] = ()
@@ -46,8 +39,10 @@ def observation_sequences(states, corpus: list[TokenSequence]) -> list[list[str]
     """Per line, the tokens immediately following each state-token occurrence.
 
     Every state occurrence (except a line-final one) contributes one
-    observation, whether or not the follower is itself a state token, so
-    that expected state usage reflects actual pattern coverage.
+    observation, whether or not the follower is itself a state token.  The
+    rule decides which tokens vote in the Viterbi consensus and what the
+    Baum-Welch refit model is fitted to; it does not affect the refit
+    pattern, which comes from state_usage counts of the state tokens.
     """
     state_set = frozenset(states)
     sequences = []
@@ -59,24 +54,6 @@ def observation_sequences(states, corpus: list[TokenSequence]) -> list[list[str]
         ]
         sequences.append(obs)
     return sequences
-
-
-def state_usage(states, corpus: list[TokenSequence]) -> dict[str, int]:
-    """Occurrences of each state token across the corpus.
-
-    Because this model's states are themselves pattern tokens, the hidden
-    path of a line is anchored: a state is used exactly where its token
-    occurs.  Counting occurrences therefore gives the state usage directly
-    and deterministically, where a posterior-based estimate would drift as
-    re-estimation repurposes emission rows.
-    """
-    state_set = frozenset(states)
-    usage = {s: 0 for s in states}
-    for line in corpus:
-        for token in line.tokens:
-            if token in state_set:
-                usage[token] += 1
-    return usage
 
 
 def adapt_baum_welch(
@@ -111,7 +88,7 @@ def adapt_baum_welch(
         trigger = find_trigger_state(kept, new_corpus)
     aliases = normalize_aliases(trigger, [a for a in pattern.trigger_aliases if a in kept])
     adapted = replace(pattern, required_tokens=kept, trigger=trigger, trigger_aliases=aliases)
-    report = AdaptReport(AdaptStrategy.BAUM_WELCH, pattern, adapted, tuple(trace))
+    report = AdaptReport(pattern, adapted, tuple(trace))
     return fitted, adapted, report
 
 
@@ -152,5 +129,5 @@ def adapt_viterbi(
         if count / decoded >= consensus_fraction
     )
     adapted = replace(pattern, required_tokens=pattern.required_tokens | additions)
-    report = AdaptReport(AdaptStrategy.VITERBI, pattern, adapted)
+    report = AdaptReport(pattern, adapted)
     return model, adapted, report

@@ -17,7 +17,7 @@ from .hmm import Hmm
 from .mining import MiningConfig
 from .parsing import ParsingPattern
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class BundleError(ValueError):
@@ -30,7 +30,6 @@ class ModelBundle:
     pattern: ParsingPattern
     mining_config: MiningConfig
     provenance: str
-    format_version: int = FORMAT_VERSION
 
 
 def _fmt(x: float) -> str:
@@ -43,12 +42,9 @@ def _matrix(rows: np.ndarray) -> list:
 
 def bundle_to_document(bundle: ModelBundle) -> dict:
     return {
-        "format_version": bundle.format_version,
+        "format_version": FORMAT_VERSION,
         "provenance": bundle.provenance,
-        "mining_config": {
-            "threshold": bundle.mining_config.threshold,
-            "expected_kpi_count": bundle.mining_config.expected_kpi_count,
-        },
+        "mining_config": {"threshold": bundle.mining_config.threshold},
         "hmm": {
             "states": list(bundle.hmm.states),
             "emissions": list(bundle.hmm.emissions),
@@ -82,6 +78,14 @@ def _get(node: dict, key: str, kind, path: str):
     return value
 
 
+def _str_list(node: dict, key: str, path: str) -> list:
+    values = _get(node, key, list, path)
+    for i, value in enumerate(values):
+        if not isinstance(value, str):
+            raise BundleError(f"bad type at {path}.{key}[{i}]")
+    return values
+
+
 def _float_vector(values, path: str) -> np.ndarray:
     if not isinstance(values, list):
         raise BundleError(f"expected array at {path}")
@@ -110,14 +114,11 @@ def document_to_bundle(doc: dict) -> ModelBundle:
     provenance = _get(doc, "provenance", str, "$")
 
     mc = _get(doc, "mining_config", dict, "$")
-    mining_config = MiningConfig(
-        threshold=_get(mc, "threshold", int, "$.mining_config"),
-        expected_kpi_count=_get(mc, "expected_kpi_count", int, "$.mining_config"),
-    )
+    mining_config = MiningConfig(threshold=_get(mc, "threshold", int, "$.mining_config"))
 
     hm = _get(doc, "hmm", dict, "$")
-    states = tuple(_get(hm, "states", list, "$.hmm"))
-    emissions = tuple(_get(hm, "emissions", list, "$.hmm"))
+    states = tuple(_str_list(hm, "states", "$.hmm"))
+    emissions = tuple(_str_list(hm, "emissions", "$.hmm"))
     ps = _float_vector(_get(hm, "ps", list, "$.hmm"), "$.hmm.ps")
     pt = _float_matrix(_get(hm, "pt", list, "$.hmm"), "$.hmm.pt", len(states))
     pe = _float_matrix(_get(hm, "pe", list, "$.hmm"), "$.hmm.pe", len(emissions))
@@ -130,14 +131,14 @@ def document_to_bundle(doc: dict) -> ModelBundle:
     pt_doc = _get(doc, "pattern", dict, "$")
     try:
         pattern = ParsingPattern(
-            required_tokens=frozenset(_get(pt_doc, "required_tokens", list, "$.pattern")),
+            required_tokens=frozenset(_str_list(pt_doc, "required_tokens", "$.pattern")),
             trigger=_get(pt_doc, "trigger", str, "$.pattern"),
             kpi_name=_get(pt_doc, "kpi_name", str, "$.pattern"),
-            trigger_aliases=tuple(_get(pt_doc, "trigger_aliases", list, "$.pattern")),
+            trigger_aliases=tuple(_str_list(pt_doc, "trigger_aliases", "$.pattern")),
         )
     except ValueError as exc:
         raise BundleError(f"invalid pattern in $.pattern: {exc}") from None
-    return ModelBundle(model, pattern, mining_config, provenance, version)
+    return ModelBundle(model, pattern, mining_config, provenance)
 
 
 def load_bundle(path) -> ModelBundle:

@@ -15,7 +15,7 @@ from .adapt import (
     adapt_baum_welch,
     adapt_viterbi,
 )
-from .bundle import ModelBundle, bundle_to_document, load_bundle, save_bundle
+from .bundle import FORMAT_VERSION, ModelBundle, bundle_to_document, load_bundle, save_bundle
 from .corpus import (
     GeneratorConfig,
     file_digest,
@@ -25,9 +25,8 @@ from .corpus import (
     write_log,
     write_manifest,
 )
-from .evaluate import ValueTolerance, confusion, format_confusion
+from .evaluate import confusion, format_confusion
 from .hmm import FitConfig
-from .parsing import KpiTable
 from .pipeline import parse_records, preprocess_corpus, train
 from .preprocess import DEFAULT_STOPWORDS, load_stopwords
 
@@ -134,7 +133,7 @@ def cmd_adapt(args) -> int:
     adapted = ModelBundle(model, pattern, bundle.mining_config, bundle.provenance)
     _atomic_write(Path(args.output), lambda tmp: save_bundle(adapted, tmp))
     report_doc = {
-        "strategy": report.strategy.value,
+        "strategy": args.strategy,
         "required_tokens_before": sorted(report.pattern_before.required_tokens),
         "required_tokens_after": sorted(report.pattern_after.required_tokens),
         "loglik_trace": list(report.loglik_trace),
@@ -148,7 +147,7 @@ def cmd_adapt(args) -> int:
     report_path = Path(args.report or (str(args.output) + ".report.json"))
     _atomic_write(report_path, write_report)
     before, after = report.pattern_before, report.pattern_after
-    print(f"strategy: {report.strategy.value}")
+    print(f"strategy: {args.strategy}")
     print(f"required tokens: {len(before.required_tokens)} -> {len(after.required_tokens)}")
     print(f"trigger: {before.trigger} -> {after.trigger}")
     if report.loglik_trace:
@@ -158,10 +157,9 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.parsed, encoding="utf-8", newline="") as fh:
-        parsed = KpiTable.from_csv(fh.read())
+    parsed = load_kpi_table(args.parsed)
     truth = load_kpi_table(args.truth)
-    cm = confusion(parsed, truth, args.universe, ValueTolerance(args.tolerance))
+    cm = confusion(parsed, truth, args.universe)
     print(format_confusion(cm))
     if args.csv:
         _atomic_write(
@@ -178,7 +176,7 @@ def cmd_inspect(args) -> int:
     if args.json:
         print(json.dumps(bundle_to_document(bundle), indent=2, sort_keys=True))
         return 0
-    print(f"format version: {bundle.format_version}")
+    print(f"format version: {FORMAT_VERSION}")
     print(f"provenance: {bundle.provenance}")
     print(f"kpi: {bundle.pattern.kpi_name}")
     print(f"trigger: {bundle.pattern.trigger} (aliases: {', '.join(bundle.pattern.trigger_aliases)})")
@@ -238,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("truth")
     p.add_argument("--universe", type=int, required=True,
                    help="total number of candidate extraction slots")
-    p.add_argument("--tolerance", choices=("exact", "round2"), default="round2")
     p.add_argument("--csv", help="also write counts to this CSV path")
     p.set_defaults(func=cmd_eval)
 

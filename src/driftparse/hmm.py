@@ -22,6 +22,9 @@ from .preprocess import TokenSequence, is_number
 
 OOV_TOKEN = "<oov>"
 
+# added to every row of a built or refit model, so none of its probabilities is zero
+SMOOTHING_EPSILON = 1e-6
+
 _ROW_SUM_ATOL = 1e-9
 
 
@@ -33,15 +36,12 @@ class TriggerNotFoundError(ValueError):
 class FitConfig:
     max_iterations: int = 10
     loglik_tolerance: float = 1e-3
-    smoothing_epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.loglik_tolerance <= 0:
             raise ValueError("loglik_tolerance must be > 0")
-        if self.smoothing_epsilon <= 0:
-            raise ValueError("smoothing_epsilon must be > 0")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,12 @@ class Hmm:
             raise ValueError("states must be distinct")
         if len(set(self.emissions)) != m:
             raise ValueError("emissions must be distinct")
+        if not self.emissions or self.emissions[-1] != OOV_TOKEN:
+            raise ValueError(f"the last emission must be {OOV_TOKEN}")
         if self.ps.shape != (n,) or self.pt.shape != (n, n) or self.pe.shape != (n, m):
             raise ValueError("matrix shapes inconsistent with state/emission counts")
+        if not all(np.isfinite(p).all() for p in (self.ps, self.pt, self.pe)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.ps < 0) or np.any(self.pt < 0) or np.any(self.pe < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(self.ps.sum() - 1.0) > _ROW_SUM_ATOL:
@@ -78,8 +82,8 @@ class Hmm:
         return np.array([lookup.get(tok, oov) for tok in observations], dtype=np.intp)
 
 
-def _smooth_rows(counts: np.ndarray, epsilon: float) -> np.ndarray:
-    smoothed = counts + epsilon
+def _smooth_rows(counts: np.ndarray) -> np.ndarray:
+    smoothed = counts + SMOOTHING_EPSILON
     return smoothed / smoothed.sum(axis=-1, keepdims=True)
 
 
@@ -89,13 +93,12 @@ def _log(p: np.ndarray) -> np.ndarray:
 
 
 def state_token_runs(tokens: tuple[str, ...], state_set: frozenset[str]):
-    """Split a line into its state tokens, their bigrams and (state, follower) pairs.
+    """Split a line into its state-token bigrams and (state, follower) pairs.
 
-    Returns (state_sequence, bigrams, emission_pairs): state_sequence is the
-    line's state-token subsequence, bigrams are its consecutive pairs (non-state
-    tokens in between are skipped), and emission_pairs holds
-    (state_token, next_token) for every state occurrence whose successor is
-    a non-state token.
+    Returns (bigrams, emission_pairs): bigrams are the consecutive pairs of
+    the line's state-token subsequence (non-state tokens in between are
+    skipped), and emission_pairs holds (state_token, next_token) for every
+    state occurrence whose successor is a non-state token.
     """
     state_seq = [t for t in tokens if t in state_set]
     bigrams = list(zip(state_seq, state_seq[1:]))
@@ -104,20 +107,34 @@ def state_token_runs(tokens: tuple[str, ...], state_set: frozenset[str]):
         for i in range(len(tokens) - 1)
         if tokens[i] in state_set and tokens[i + 1] not in state_set
     ]
-    return state_seq, bigrams, pairs
+    return bigrams, pairs
 
 
-def build_hmm(
-    matching_lines: list[TokenSequence],
-    cluster: PatternCluster,
-    smoothing_epsilon: float = 1e-6,
-) -> Hmm:
+def state_usage(states, corpus: list[TokenSequence]) -> dict[str, int]:
+    """Occurrences of each state token across the corpus.
+
+    Because this model's states are themselves pattern tokens, the hidden
+    path of a line is anchored: a state is used exactly where its token
+    occurs.  Counting occurrences therefore gives the state usage directly
+    and deterministically, where a posterior-based estimate would drift as
+    re-estimation repurposes emission rows.
+    """
+    state_set = frozenset(states)
+    usage = {s: 0 for s in states}
+    for line in corpus:
+        for token in line.tokens:
+            if token in state_set:
+                usage[token] += 1
+    return usage
+
+
+def build_hmm(matching_lines: list[TokenSequence], cluster: PatternCluster) -> Hmm:
     """Construct the model from lines that all carry the cluster tokens.
 
-    Start probabilities follow token occurrence counts; transitions are
-    bigrams over the line's state-token subsequence (non-state tokens are
-    skipped); emissions are the non-state tokens observed immediately after
-    a state token.  Counts are additively smoothed and row-normalized.
+    Start probabilities follow state_usage; transitions are bigrams over the
+    line's state-token subsequence (non-state tokens are skipped); emissions
+    are the non-state tokens observed immediately after a state token.
+    Counts are smoothed by SMOOTHING_EPSILON and row-normalized.
     """
     if not matching_lines:
         raise ValueError("matching_lines must be non-empty")
@@ -127,13 +144,12 @@ def build_hmm(
     state_set = frozenset(states)
     sidx = {s: i for i, s in enumerate(states)}
 
-    start_counts = np.zeros(len(states))
+    usage = state_usage(states, matching_lines)
+    start_counts = np.array([usage[s] for s in states], dtype=float)
     trans_counts = np.zeros((len(states), len(states)))
     pair_counts: dict[tuple[str, str], int] = {}
     for line in matching_lines:
-        state_seq, bigrams, pairs = state_token_runs(line.tokens, state_set)
-        for token in state_seq:
-            start_counts[sidx[token]] += 1
+        bigrams, pairs = state_token_runs(line.tokens, state_set)
         for a, b in bigrams:
             trans_counts[sidx[a], sidx[b]] += 1
         for a, e in pairs:
@@ -145,9 +161,9 @@ def build_hmm(
     for (a, e), n in pair_counts.items():
         emit_counts[sidx[a], eidx[e]] = n
 
-    ps = _smooth_rows(start_counts, smoothing_epsilon)
-    pt = _smooth_rows(trans_counts, smoothing_epsilon)
-    pe = _smooth_rows(emit_counts, smoothing_epsilon)
+    ps = _smooth_rows(start_counts)
+    pt = _smooth_rows(trans_counts)
+    pe = _smooth_rows(emit_counts)
     model = Hmm(states, alphabet, ps, pt, pe)
     model.validate()
     return model
@@ -237,11 +253,11 @@ def _renormalize_or_keep(counts: np.ndarray, fallback: np.ndarray) -> np.ndarray
     return out
 
 
-def extend_alphabet(model: Hmm, symbols, floor: float) -> Hmm:
+def extend_alphabet(model: Hmm, symbols) -> Hmm:
     """Return a model whose alphabet covers the given symbols.
 
     New symbols are inserted (sorted) before the OOV column with
-    smoothing-floor mass; rows are renormalized.
+    SMOOTHING_EPSILON mass; rows are renormalized.
     """
     known = set(model.emissions)
     new = sorted({s for s in symbols if s not in known})
@@ -251,7 +267,7 @@ def extend_alphabet(model: Hmm, symbols, floor: float) -> Hmm:
     n = len(model.states)
     pe = np.empty((n, len(emissions)))
     pe[:, : len(model.emissions) - 1] = model.pe[:, :-1]
-    pe[:, len(model.emissions) - 1 : -1] = floor
+    pe[:, len(model.emissions) - 1 : -1] = SMOOTHING_EPSILON
     pe[:, -1] = model.pe[:, -1]
     pe /= pe.sum(axis=1, keepdims=True)
     return Hmm(model.states, emissions, model.ps, model.pt, pe)
@@ -266,16 +282,14 @@ def baum_welch_fit(
 
     Expected counts are summed across sequences before re-estimation.  The
     EM iterations themselves are unsmoothed so the recorded log-likelihood
-    trace is exactly non-decreasing; the smoothing floor is applied once to
-    the returned model to keep every probability strictly positive.
+    trace is exactly non-decreasing; SMOOTHING_EPSILON is added once to the
+    returned model to keep every probability strictly positive.
     Symbols unseen by the input model extend its emission alphabet first.
     """
     sequences = [seq for seq in training_sequences if seq]
     if not sequences:
         raise ValueError("training_sequences must contain a non-empty sequence")
-    current = extend_alphabet(
-        model, (tok for seq in sequences for tok in seq), config.smoothing_epsilon
-    )
+    current = extend_alphabet(model, (tok for seq in sequences for tok in seq))
     encoded = [current.encode(seq) for seq in sequences]
 
     trace: list[float] = []
@@ -292,9 +306,9 @@ def baum_welch_fit(
     fitted = Hmm(
         current.states,
         current.emissions,
-        _smooth_rows(current.ps, config.smoothing_epsilon),
-        _smooth_rows(current.pt, config.smoothing_epsilon),
-        _smooth_rows(current.pe, config.smoothing_epsilon),
+        _smooth_rows(current.ps),
+        _smooth_rows(current.pt),
+        _smooth_rows(current.pe),
     )
     fitted.validate()
     return fitted, trace

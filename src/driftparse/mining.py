@@ -33,23 +33,19 @@ class MiningConfig:
 
     threshold is both the frequent-token cutoff and the cluster support
     cutoff; by convention it is the number of ground-truth KPI rows for
-    the training window.  expected_kpi_count is how many top clusters
-    mining keeps.
+    the training window.
     """
 
     threshold: int
-    expected_kpi_count: int = 1
 
     def __post_init__(self):
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
-        if self.expected_kpi_count < 1:
-            raise ValueError("expected_kpi_count must be >= 1")
 
 
 @dataclass(frozen=True)
 class ClusterSelection:
-    """The top clusters, best first; fewer than requested when fewer qualified."""
+    """Every cluster at the threshold, best first."""
 
     clusters: tuple[PatternCluster, ...]
 
@@ -97,9 +93,8 @@ def select_clusters(candidates: list[PatternCluster], threshold: int) -> list[Pa
 
 
 def mine_clusters(corpus: list[TokenSequence], config: MiningConfig) -> ClusterSelection:
-    """Full mining pass: frequencies -> frequent tokens -> candidates -> top clusters."""
+    """Full mining pass: frequencies -> frequent tokens -> candidates -> ranked clusters."""
     freqs = count_token_frequencies(corpus)
     frequent = find_frequent_tokens(freqs, config.threshold)
     candidates = build_cluster_candidates(corpus, frequent)
-    selected = select_clusters(candidates, config.threshold)
-    return ClusterSelection(tuple(selected[: config.expected_kpi_count]))
+    return ClusterSelection(tuple(select_clusters(candidates, config.threshold)))

@@ -40,10 +40,8 @@ def train(
     if threshold < 1:
         raise TrainingError("threshold would be zero: the truth table has no rows")
     corpus = preprocess_corpus(records, stopwords)
-    config = MiningConfig(threshold=threshold, expected_kpi_count=1)
-    # every cluster at the threshold, best first: there are at most as many as lines
-    every = MiningConfig(threshold=threshold, expected_kpi_count=max(len(corpus), 1))
-    for cluster in mine_clusters(corpus, every).clusters:
+    config = MiningConfig(threshold=threshold)
+    for cluster in mine_clusters(corpus, config).clusters:
         matching = [line for line in corpus if cluster.tokens <= line.token_set()]
         try:
             trigger = find_trigger_state(cluster.tokens, matching)

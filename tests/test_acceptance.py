@@ -218,7 +218,7 @@ class TestAcceptance:
                 toks = list(line.tokens)
                 rng.shuffle(toks)
                 shuffled.append(TokenSequence(line.event_id, tuple(toks)))
-            config = MiningConfig(threshold=threshold, expected_kpi_count=100)
+            config = MiningConfig(threshold=threshold)
             a = mine_clusters(corpus, config)
             b = mine_clusters(shuffled, config)
             assert {(c.tokens, c.support) for c in a.clusters} == {

@@ -28,7 +28,6 @@ class TestRoundTrip:
         assert np.array_equal(restored.hmm.pe, bundle_a.hmm.pe)
         assert restored.pattern == bundle_a.pattern
         assert restored.mining_config == bundle_a.mining_config
-        assert restored.format_version == FORMAT_VERSION
 
     def test_file_round_trip(self, tmp_path, bundle_a):
         path = tmp_path / "model.json"
@@ -69,6 +68,15 @@ class TestValidation:
         with pytest.raises(BundleError, match="format_version 1"):
             document_to_bundle(doc)
 
+    def test_v2_document_rejected(self, bundle_a):
+        doc = doc_of(bundle_a)
+        assert doc["format_version"] == FORMAT_VERSION == 3
+        assert doc["mining_config"] == {"threshold": bundle_a.mining_config.threshold}
+        doc["format_version"] = 2
+        doc["mining_config"]["expected_kpi_count"] = 1
+        with pytest.raises(BundleError, match="format_version 2"):
+            document_to_bundle(doc)
+
     def test_missing_field_names_path(self, bundle_a):
         doc = doc_of(bundle_a)
         del doc["hmm"]["ps"]
@@ -91,6 +99,34 @@ class TestValidation:
         doc = doc_of(bundle_a)
         doc["hmm"]["pe"][0][0] = "0.9999"
         with pytest.raises(BundleError, match="invalid model"):
+            document_to_bundle(doc)
+
+    @pytest.mark.parametrize("matrix", ["ps", "pt", "pe"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_probability_rejected(self, bundle_a, matrix, value):
+        doc = doc_of(bundle_a)
+        if matrix == "ps":
+            doc["hmm"]["ps"][0] = value
+        else:
+            doc["hmm"][matrix][0][0] = value
+        with pytest.raises(BundleError, match="finite"):
+            document_to_bundle(doc)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("hmm", "states"), ("hmm", "emissions"), ("pattern", "required_tokens"), ("pattern", "trigger_aliases")],
+    )
+    def test_non_string_token_names_path(self, bundle_a, section, key):
+        doc = doc_of(bundle_a)
+        doc[section][key][0] = [doc[section][key][0]]
+        with pytest.raises(BundleError, match=rf"bad type at \$\.{section}\.{key}\[0\]"):
+            document_to_bundle(doc)
+
+    def test_missing_oov_column_rejected(self, bundle_a):
+        doc = doc_of(bundle_a)
+        assert doc["hmm"]["emissions"][-1] == "<oov>"
+        doc["hmm"]["emissions"][-1] = "zzz"
+        with pytest.raises(BundleError, match="<oov>"):
             document_to_bundle(doc)
 
     def test_trigger_outside_required_rejected(self, bundle_a):

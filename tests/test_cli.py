@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 
 import pytest
 
@@ -218,6 +219,32 @@ class TestInspect:
         code, out, _ = run(capsys, "inspect", str(workdir / "model.json"), "--json")
         assert code == 0
         assert json.loads(out) == json.loads((workdir / "model.json").read_text())
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("hmm", "pe", 0, 0), "nan", "finite"),
+            (("hmm", "emissions", 0), ["x"], r"\$\.hmm\.emissions\[0\]"),
+            (("hmm", "emissions", -1), "zzz", "<oov>"),
+        ],
+        ids=["nan", "non-string", "no-oov"],
+    )
+    @pytest.mark.parametrize("command", ["inspect", "adapt"])
+    def test_damaged_bundle_is_an_error_not_a_crash(self, workdir, tmp_path, capsys, where, value, message, command):
+        doc = json.loads((workdir / "model.json").read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command, str(bad)]
+        if command == "adapt":
+            argv += [str(workdir / "b/log.tsv"), "--strategy", "viterbi", "-o", str(tmp_path / "out.json")]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert re.search(message, err)
 
     def test_corrupt_bundle_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

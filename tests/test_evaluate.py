@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from driftparse.evaluate import (
     ConfusionMatrix,
-    ValueTolerance,
     accuracy,
     confusion,
     format_confusion,
@@ -36,22 +35,8 @@ class TestConfusion:
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (0, 1, 1, 8)
 
     def test_rounded_tolerance(self):
-        cm = confusion(
-            table(("e1", "1.004")),
-            table(("e1", "1.00")),
-            10,
-            ValueTolerance.ROUNDED_TWO_DECIMALS,
-        )
+        cm = confusion(table(("e1", "1.004")), table(("e1", "1.00")), 10)
         assert cm.tp == 1
-
-    def test_exact_tolerance(self):
-        cm = confusion(
-            table(("e1", "1.004")),
-            table(("e1", "1.00")),
-            10,
-            ValueTolerance.EXACT_STRING,
-        )
-        assert (cm.tp, cm.fp, cm.fn) == (0, 1, 1)
 
     def test_universe_too_small_rejected(self):
         with pytest.raises(ValueError, match="universe"):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import driftparse
 from driftparse.hmm import (
     OOV_TOKEN,
+    SMOOTHING_EPSILON,
     FitConfig,
     Hmm,
     TriggerNotFoundError,
@@ -268,18 +269,21 @@ class TestBuildHmm:
     def test_counts_by_hand(self):
         # two lines over states {a, b}: transitions a->b twice, b->a once
         corpus = self.lines(["a", "x", "b", "a"], ["a", "b", "y"])
-        model = build_hmm(corpus, PatternCluster(frozenset({"a", "b"}), 2), smoothing_epsilon=1e-9)
+        model = build_hmm(corpus, PatternCluster(frozenset({"a", "b"}), 2))
+        eps = SMOOTHING_EPSILON
         assert model.states == ("a", "b")
         assert model.emissions == ("x", "y", OOV_TOKEN)
         # start counts: a appears 3 times, b twice
-        assert model.ps[0] == pytest.approx(3 / 5, abs=1e-6)
+        assert model.ps[0] == pytest.approx((3 + eps) / (5 + 2 * eps), rel=1e-12)
         ai, bi = 0, 1
-        assert model.pt[ai, bi] == pytest.approx(1.0, abs=1e-6)  # a always followed by b
-        assert model.pt[bi, ai] == pytest.approx(1.0, abs=1e-6)
+        # a is followed by b twice and by a never; b by a once
+        assert model.pt[ai, bi] == pytest.approx((2 + eps) / (2 + 2 * eps), rel=1e-12)
+        assert model.pt[bi, ai] == pytest.approx((1 + eps) / (1 + 2 * eps), rel=1e-12)
         xi = model.emissions.index("x")
         yi = model.emissions.index("y")
-        assert model.pe[ai, xi] == pytest.approx(1.0, abs=1e-6)  # a emits only x
-        assert model.pe[bi, yi] == pytest.approx(1.0, abs=1e-6)
+        # a emits only x, b only y, over an alphabet of three symbols
+        assert model.pe[ai, xi] == pytest.approx((1 + eps) / (1 + 3 * eps), rel=1e-12)
+        assert model.pe[bi, yi] == pytest.approx((1 + eps) / (1 + 3 * eps), rel=1e-12)
 
     def test_oov_column_is_last_and_small(self):
         corpus = self.lines(["a", "x"])
@@ -347,7 +351,7 @@ class TestBaumWelch:
 
     def test_extend_alphabet_noop_for_known(self):
         model = make_hmm([1.0], [[1.0]], [[0.9, 0.1]], emissions=("x", OOV_TOKEN))
-        assert extend_alphabet(model, ["x"], 1e-6) is model
+        assert extend_alphabet(model, ["x"]) is model
 
     def test_all_empty_sequences_rejected(self):
         model = make_hmm([1.0], [[1.0]], [[0.5, 0.5]])

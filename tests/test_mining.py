@@ -81,7 +81,11 @@ class TestSelection:
     def test_reduce_picks_top(self):
         corpus = lines(*([c] for c, n in (("a", 3), ("b", 9), ("c", 5)) for _ in range(n)))
         sel = mine_clusters(corpus, MiningConfig(threshold=1))
-        assert sel.clusters == (PatternCluster(frozenset({"b"}), 9),)
+        assert sel.clusters == (
+            PatternCluster(frozenset({"b"}), 9),
+            PatternCluster(frozenset({"c"}), 5),
+            PatternCluster(frozenset({"a"}), 3),
+        )
 
 
 class TestProperties:
