@@ -90,9 +90,12 @@ def _float_vector(values, path: str) -> np.ndarray:
     if not isinstance(values, list):
         raise BundleError(f"expected array at {path}")
     try:
-        return np.array([float(x) for x in values], dtype=float)
-    except (TypeError, ValueError):
+        # a model row repeats a few distinct values (pe: 36 among 92k entries
+        # at 2,300 symbols), so each is parsed once and looked up after
+        parsed = {x: float(x) for x in set(values)}
+    except (TypeError, ValueError, OverflowError):
         raise BundleError(f"bad number in {path}") from None
+    return np.array([parsed[x] for x in values], dtype=float)
 
 
 def _float_matrix(values, path: str, width: int) -> np.ndarray:
@@ -114,7 +117,11 @@ def document_to_bundle(doc: dict) -> ModelBundle:
     provenance = _get(doc, "provenance", str, "$")
 
     mc = _get(doc, "mining_config", dict, "$")
-    mining_config = MiningConfig(threshold=_get(mc, "threshold", int, "$.mining_config"))
+    threshold = _get(mc, "threshold", int, "$.mining_config")
+    try:
+        mining_config = MiningConfig(threshold=threshold)
+    except ValueError as exc:
+        raise BundleError(f"invalid value at $.mining_config.threshold: {exc}") from None
 
     hm = _get(doc, "hmm", dict, "$")
     states = tuple(_str_list(hm, "states", "$.hmm"))

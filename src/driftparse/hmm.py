@@ -14,6 +14,7 @@ contain unseen values by construction, so a hard failure would be wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,12 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class Hmm:
-    """Immutable model: states, emission alphabet (OOV last), ps/pt/pe."""
+    """Immutable model: states, emission alphabet (OOV last), ps/pt/pe.
+
+    The arrays are never written after construction, so each instance
+    builds its emission index and log tables once, on first use; a changed
+    model is a new instance with caches of its own.
+    """
 
     states: tuple[str, ...]
     emissions: tuple[str, ...]
@@ -75,9 +81,18 @@ class Hmm:
             if bad.any():
                 raise ValueError(f"{name} row {int(np.argmax(bad))} does not sum to 1")
 
+    @cached_property
+    def _emission_index(self) -> dict[str, int]:
+        return {tok: i for i, tok in enumerate(self.emissions)}
+
+    @cached_property
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log ps, log pt, log pe), log pe transposed: one contiguous row per symbol."""
+        return _log(self.ps), _log(self.pt), np.ascontiguousarray(_log(self.pe).T)
+
     def encode(self, observations: list[str]) -> np.ndarray:
         """Map observation tokens to emission indices; unknown -> OOV."""
-        lookup = {tok: i for i, tok in enumerate(self.emissions)}
+        lookup = self._emission_index
         oov = lookup[OOV_TOKEN]
         return np.array([lookup.get(tok, oov) for tok in observations], dtype=np.intp)
 
@@ -205,14 +220,14 @@ def viterbi_decode(model: Hmm, observations: list[str]) -> tuple[list[int], floa
     if not observations:
         raise ValueError("observation sequence must be non-empty")
     obs = model.encode(observations)
-    log_ps, log_pt, log_pe = _log(model.ps), _log(model.pt), _log(model.pe)
-    n = len(model.states)
-    delta = log_ps + log_pe[:, obs[0]]
-    back = np.zeros((len(obs), n), dtype=np.intp)
+    log_ps, log_pt, log_pe_by_symbol = model._log_tables
+    emit = log_pe_by_symbol[obs]
+    delta = log_ps + emit[0]
+    back = np.zeros((len(obs), len(model.states)), dtype=np.intp)
     for t in range(1, len(obs)):
         scores = delta[:, None] + log_pt
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(n)] + log_pe[:, obs[t]]
+        scores.argmax(axis=0, out=back[t])
+        delta = scores.max(axis=0) + emit[t]
     path = [int(np.argmax(delta))]
     for t in range(len(obs) - 1, 0, -1):
         path.append(int(back[t, path[-1]]))

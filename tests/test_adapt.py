@@ -1,8 +1,16 @@
+from collections import Counter
+
 import pytest
 
-from driftparse.adapt import adapt_baum_welch, adapt_viterbi, observation_sequences
+from driftparse.adapt import (
+    DEFAULT_CONSENSUS_FRACTION,
+    DEFAULT_COVERAGE_FRACTION,
+    adapt_baum_welch,
+    adapt_viterbi,
+    observation_sequences,
+)
 from driftparse.evaluate import confusion, sensitivity
-from driftparse.hmm import state_usage
+from driftparse.hmm import state_usage, viterbi_decode
 from driftparse.parsing import parse_corpus
 from driftparse.preprocess import TokenSequence
 
@@ -87,6 +95,20 @@ class TestViterbiAdaptation:
     def test_fixed_point_on_undrifted_corpus(self, bundle_a, lines_a):
         _, pattern, _ = adapt_viterbi(bundle_a.hmm, bundle_a.pattern, lines_a)
         assert pattern.required_tokens == bundle_a.pattern.required_tokens
+
+    def test_additions_equal_per_line_decode_vote(self, bundle_a, lines_b, adapted_vit):
+        # reference: the public decode of each voting line, then the consensus vote
+        model = bundle_a.hmm
+        state_set = frozenset(model.states)
+        votes, voting = Counter(), 0
+        for line, obs in zip(lines_b, observation_sequences(model.states, lines_b)):
+            if obs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set):
+                path, _ = viterbi_decode(model, obs)
+                votes.update(set(zip(obs, path)))
+                voting += 1
+        expected = {tok for (tok, _), n in votes.items() if n / voting >= DEFAULT_CONSENSUS_FRACTION}
+        _, pattern, _ = adapted_vit
+        assert pattern.required_tokens == bundle_a.pattern.required_tokens | expected
 
     def test_stricter_consensus_adds_no_more(self, bundle_a, lines_b, adapted_vit):
         _, default_pattern, _ = adapted_vit

@@ -89,6 +89,13 @@ class TestValidation:
         with pytest.raises(BundleError, match=r"\$\.hmm\.ps"):
             document_to_bundle(doc)
 
+    @pytest.mark.parametrize("value", [[0.5], 10**400], ids=["list", "huge-int"])
+    def test_unparsable_entry_names_path(self, bundle_a, value):
+        doc = doc_of(bundle_a)
+        doc["hmm"]["pe"][1][0] = value
+        with pytest.raises(BundleError, match=r"bad number in \$\.hmm\.pe\[1\]"):
+            document_to_bundle(doc)
+
     def test_ragged_matrix_names_row(self, bundle_a):
         doc = doc_of(bundle_a)
         doc["hmm"]["pt"][2] = doc["hmm"]["pt"][2][:-1]
@@ -133,6 +140,12 @@ class TestValidation:
         doc = doc_of(bundle_a)
         doc["pattern"]["trigger"] = "never-mined"
         with pytest.raises(BundleError, match="invalid pattern"):
+            document_to_bundle(doc)
+
+    def test_invalid_threshold_names_path(self, bundle_a):
+        doc = doc_of(bundle_a)
+        doc["mining_config"]["threshold"] = 0
+        with pytest.raises(BundleError, match=r"\$\.mining_config\.threshold"):
             document_to_bundle(doc)
 
     def test_bool_is_not_an_int(self, bundle_a):

@@ -160,6 +160,37 @@ class TestEncode:
         assert list(model.encode(["y", "never-seen", "x"])) == [1, 2, 0]
 
 
+class TestModelCaches:
+    def test_extended_model_encodes_its_new_symbols(self):
+        model = make_hmm([1.0], [[1.0]], [[0.6, 0.4]], emissions=("x", OOV_TOKEN))
+        assert list(model.encode(["x", "y"])) == [0, 1]
+        viterbi_decode(model, ["x", "y"])
+        extended = extend_alphabet(model, ["y"])
+        assert list(extended.encode(["x", "y", "z"])) == [0, 1, 2]
+        path, logp = viterbi_decode(extended, ["y"])
+        assert path == [0]
+        assert logp == pytest.approx(math.log(extended.pe[0, 1]), rel=1e-12)
+
+    def test_log_tables_built_once_per_model(self, monkeypatch):
+        model = make_hmm(
+            [0.6, 0.4],
+            [[0.7, 0.3], [0.2, 0.8]],
+            [[0.5, 0.4, 0.1], [0.1, 0.8, 0.1]],
+        )
+        real_log = driftparse.hmm._log
+        logged = []
+
+        def counting_log(p):
+            logged.append(p)
+            return real_log(p)
+
+        monkeypatch.setattr(driftparse.hmm, "_log", counting_log)
+        for _ in range(50):
+            viterbi_decode(model, ["e0", "e1", "e1", "e0"])
+        # one build logs ps, pt and pe once each
+        assert len(logged) <= 3
+
+
 class TestForward:
     def test_single_symbol_by_hand(self):
         model = make_hmm(

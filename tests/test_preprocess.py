@@ -83,6 +83,30 @@ class TestNormalizeNumber:
         assert normalize_number(normalized) == normalized
 
 
+def uncached_preprocess(raw_tokens, stopwords=DEFAULT_STOPWORDS):
+    return [normalize_number(t) if is_number(t) else stem(t) for t in raw_tokens if t not in stopwords]
+
+
+class TestPreprocessTokens:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(sorted(DEFAULT_STOPWORDS)),
+                st.from_regex(r"-?\d{1,8}(\.\d{1,4})?", fullmatch=True),
+                st.text(alphabet="abcdeginorst.-0123456789", min_size=1, max_size=12),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_uncached_composition(self, raw):
+        assert preprocess_tokens(raw) == uncached_preprocess(raw)
+
+    def test_custom_stopwords_honoured_after_default_warm_cache(self):
+        raw = ["the", "scanning", "ctdi", "16.660"]
+        assert preprocess_tokens(raw) == ["scann", "ctdi", "16.66"]
+        assert preprocess_tokens(raw, frozenset({"ctdi"})) == ["the", "scann", "16.66"]
+
+
 class TestPreprocessEvent:
     def test_golden_event(self):
         event = EventRecord("e1", "2018-12-01T00:00:00", "scan", RAW_EVENT)
