@@ -1,9 +1,10 @@
-"""Versioned, human-inspectable persistence for trained models.
+"""Versioned persistence for trained models.
 
-A bundle is a JSON document with sorted keys and probabilities rendered as
-17-significant-digit decimal strings, which makes saves byte-deterministic
-and load(save(x)) exact.  Every load re-checks the model invariants before
-the model can be used.  docs/bundle_schema.json describes the layout.
+A bundle is one line of compact JSON with sorted keys and probabilities
+rendered as 17-significant-digit decimal strings, which makes saves
+byte-deterministic and load(save(x)) exact; ``driftparse inspect --json``
+pretty-prints it.  Every load re-checks the model invariants before the
+model can be used.  docs/bundle_schema.json describes the layout.
 """
 
 from __future__ import annotations
@@ -32,12 +33,17 @@ class ModelBundle:
     provenance: str
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _decimal_strings(values: np.ndarray) -> list:
+    """``values`` as nested lists of ``format(float(x), ".17g")`` strings.
 
-
-def _matrix(rows: np.ndarray) -> list:
-    return [[_fmt(x) for x in row] for row in rows]
+    A model repeats a few dozen probabilities across its whole ``pe``, so
+    each distinct bit pattern is formatted once and the lists are built by
+    lookup; keying on the bits keeps 0.0 and -0.0 apart.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    strings = np.array([format(float(x), ".17g") for x in bits.view(np.float64)], dtype=object)
+    return strings[inverse.reshape(values.shape)].tolist()
 
 
 def bundle_to_document(bundle: ModelBundle) -> dict:
@@ -48,9 +54,9 @@ def bundle_to_document(bundle: ModelBundle) -> dict:
         "hmm": {
             "states": list(bundle.hmm.states),
             "emissions": list(bundle.hmm.emissions),
-            "ps": [_fmt(x) for x in bundle.hmm.ps],
-            "pt": _matrix(bundle.hmm.pt),
-            "pe": _matrix(bundle.hmm.pe),
+            "ps": _decimal_strings(bundle.hmm.ps),
+            "pt": _decimal_strings(bundle.hmm.pt),
+            "pe": _decimal_strings(bundle.hmm.pe),
         },
         "pattern": {
             "required_tokens": sorted(bundle.pattern.required_tokens),
@@ -62,7 +68,8 @@ def bundle_to_document(bundle: ModelBundle) -> dict:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    text = json.dumps(bundle_to_document(bundle), indent=2, sort_keys=True) + "\n"
+    # no indent, so json uses its C encoder
+    text = json.dumps(bundle_to_document(bundle), sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

@@ -130,9 +130,20 @@ def load_log(path) -> LogLoadResult:
 
 
 def write_log(records: list[EventRecord], path) -> None:
+    """Write records in the physical log format read by ``load_log``.
+
+    A field holding a tab, carriage return or line feed would split into
+    other fields or lines on load, so it raises ``ValueError`` before the
+    file is opened.
+    """
+    lines = []
+    for r in records:
+        line = f"{r.timestamp}\t{r.event_type}\t{r.event_id}\t{r.text}"
+        if line.count("\t") != 3 or "\r" in line or "\n" in line:
+            raise ValueError(f"event {r.event_id!r}: a field holds a tab or line break")
+        lines.append(line + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            fh.write(f"{r.timestamp}\t{r.event_type}\t{r.event_id}\t{r.text}\n")
+        fh.writelines(lines)
 
 
 def load_kpi_table(path) -> KpiTable:

@@ -48,8 +48,12 @@ class KpiTable:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
+        # the writer quotes a field holding its line terminator "\n" but not a
+        # lone "\r", which a reader also ends a line at, so such rows are quoted
+        quoting_writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(self.CSV_HEADER)
-        writer.writerows(self.rows)
+        for row in self.rows:
+            (quoting_writer if "\r" in "".join(row) else writer).writerow(row)
         return buf.getvalue()
 
     def write_csv(self, path) -> None:

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftparse.bundle import (
     FORMAT_VERSION,
@@ -12,6 +14,9 @@ from driftparse.bundle import (
     load_bundle,
     save_bundle,
 )
+from driftparse.hmm import Hmm
+from driftparse.mining import MiningConfig
+from driftparse.parsing import ParsingPattern
 
 
 def doc_of(bundle):
@@ -47,6 +52,65 @@ class TestRoundTrip:
         save_bundle(bundle_a, a)
         save_bundle(load_bundle(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_file_is_one_line_holding_the_document(self, tmp_path, bundle_a):
+        path = tmp_path / "model.json"
+        save_bundle(bundle_a, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text) == doc_of(bundle_a)
+
+    def test_indented_v3_file_still_loads(self, tmp_path, bundle_a):
+        # the layout written before saves became one compact line
+        indented, compact = tmp_path / "indented.json", tmp_path / "compact.json"
+        indented.write_text(json.dumps(bundle_to_document(bundle_a), indent=2, sort_keys=True) + "\n")
+        restored = load_bundle(indented)
+        assert restored.hmm.states == bundle_a.hmm.states
+        assert restored.hmm.emissions == bundle_a.hmm.emissions
+        for name in ("ps", "pt", "pe"):
+            assert getattr(restored.hmm, name).tobytes() == getattr(bundle_a.hmm, name).tobytes()
+        assert restored.pattern == bundle_a.pattern
+        assert restored.mining_config == bundle_a.mining_config
+        assert restored.provenance == bundle_a.provenance
+        save_bundle(restored, compact)
+        assert json.loads(compact.read_text()) == json.loads(indented.read_text())
+
+
+def reference_strings(values):
+    """The per-entry rendering that the writer must reproduce."""
+    if values.ndim == 1:
+        return [format(float(x), ".17g") for x in values]
+    return [[format(float(x), ".17g") for x in row] for row in values]
+
+
+# repeated values plus the edge cases of a 17-digit rendering: both zeros,
+# the smallest subnormal and the largest double below 1
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 1 - 2**-53, 0.5, 1e-6]
+_entries = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))
+
+
+@st.composite
+def models(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+
+    def array(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(_entries, min_size=size, max_size=size))).reshape(shape)
+
+    states = tuple(f"s{i}" for i in range(n))
+    emissions = tuple(f"e{j}" for j in range(m - 1)) + ("<oov>",)
+    return Hmm(states, emissions, array(n), array(n, n), array(n, m))
+
+
+class TestWriterOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(models())
+    def test_strings_equal_per_entry_format(self, model):
+        pattern = ParsingPattern(frozenset({"s0"}), "s0", "ctdi", ("s0",))
+        doc = bundle_to_document(ModelBundle(model, pattern, MiningConfig(threshold=1), "test"))
+        for name in ("ps", "pt", "pe"):
+            assert doc["hmm"][name] == reference_strings(getattr(model, name))
 
 
 class TestValidation:

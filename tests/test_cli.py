@@ -218,7 +218,10 @@ class TestInspect:
     def test_json_output_matches_bundle_file(self, workdir, capsys):
         code, out, _ = run(capsys, "inspect", str(workdir / "model.json"), "--json")
         assert code == 0
-        assert json.loads(out) == json.loads((workdir / "model.json").read_text())
+        doc = json.loads((workdir / "model.json").read_text())
+        assert json.loads(out) == doc
+        # the saved file is one compact line; inspect prints the indented view
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "where, value, message",

@@ -1,6 +1,10 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftparse.corpus import (
     DRIFT_SYSTEM_B,
@@ -14,6 +18,7 @@ from driftparse.corpus import (
 )
 from driftparse.parsing import KpiTable
 from driftparse.pipeline import preprocess_corpus
+from driftparse.preprocess import EventRecord
 
 from .conftest import A_SEED, N_EVENTS
 
@@ -93,6 +98,32 @@ class TestLogIo:
         result = load_log(path)
         assert result.rejects == []
         assert result.records == records
+
+    # any text a UTF-8 file can hold, less the field and line separators
+    _field = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_field, _field, _field, _field.filter(bool)), unique_by=lambda r: r[0]))
+    def test_round_trip_any_fields(self, rows):
+        # load_log keeps the first line of a repeated id and rejects empty text
+        records = [EventRecord(eid, ts, kind, text) for eid, ts, kind, text in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.tsv"
+            write_log(records, path)
+            result = load_log(path)
+        assert result.rejects == []
+        assert result.records == records
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb"], ids=["tab", "cr", "lf"])
+    @pytest.mark.parametrize("field", ["timestamp", "event_type", "event_id", "text"])
+    def test_separator_in_a_field_refused(self, tmp_path, field, bad):
+        values = {"event_id": "e2", "timestamp": "t2", "event_type": "scan", "text": "text"}
+        values[field] = bad
+        records = [EventRecord("e1", "t1", "scan", "fine"), EventRecord(**values)]
+        path = tmp_path / "log.tsv"
+        with pytest.raises(ValueError, match=re.escape(repr(values["event_id"]))):
+            write_log(records, path)
+        assert not path.exists()
 
     def test_malformed_lines_rejected_with_reason(self, tmp_path):
         path = tmp_path / "log.tsv"

@@ -8,7 +8,7 @@ from driftparse.parsing import (
     parse_corpus,
     parse_event,
 )
-from driftparse.preprocess import TokenSequence
+from driftparse.preprocess import TokenSequence, normalize_number
 
 
 def line(*tokens, event_id="e1"):
@@ -122,6 +122,19 @@ class TestKpiTable:
     def test_bad_row_rejected(self):
         with pytest.raises(ValueError, match="row"):
             KpiTable.from_csv("event_id,kpi,value\ne1,ctdi\n")
+
+    def test_lone_carriage_return_is_quoted(self):
+        table = KpiTable([("e1", "ctdi", "1.50"), ("cr\rx", "ctdi", "1.50")])
+        assert table.to_csv() == 'event_id,kpi,value\ne1,ctdi,1.50\n"cr\rx","ctdi","1.50"\n'
+        assert KpiTable.from_csv(table.to_csv()).rows == table.rows
+
+    # from_csv normalizes values and refuses a repeated key, so the tables
+    # drawn hold normalized values and distinct keys
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.text(), st.text(), st.text().map(normalize_number)), unique_by=lambda r: r[:2]))
+    def test_csv_round_trip_any_text(self, rows):
+        table = KpiTable(rows)
+        assert KpiTable.from_csv(table.to_csv()).rows == table.rows
 
     def test_file_round_trip(self, tmp_path):
         table = KpiTable([("e1", "ctdi", "16.66")])
