@@ -133,16 +133,26 @@ def write_log(records: list[EventRecord], path) -> None:
     """Write records in the physical log format read by ``load_log``.
 
     A field holding a tab, carriage return or line feed would split into
-    other fields or lines on load, so it raises ``ValueError`` before the
-    file is opened.
+    other fields or lines on load, ``load_log`` rejects a line with empty
+    text or a repeated event id, and a lone surrogate has no UTF-8 form, so
+    each of these raises ``ValueError`` before the file is opened.
     """
     lines = []
+    seen: set[str] = set()
     for r in records:
         line = f"{r.timestamp}\t{r.event_type}\t{r.event_id}\t{r.text}"
         if line.count("\t") != 3 or "\r" in line or "\n" in line:
             raise ValueError(f"event {r.event_id!r}: a field holds a tab or line break")
-        lines.append(line + "\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if not r.text:
+            raise ValueError(f"event {r.event_id!r}: empty event text")
+        if r.event_id in seen:
+            raise ValueError(f"event {r.event_id!r}: duplicate event id")
+        seen.add(r.event_id)
+        try:
+            lines.append((line + "\n").encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ValueError(f"event {r.event_id!r}: a field has no UTF-8 form") from None
+    with open(path, "wb") as fh:
         fh.writelines(lines)
 
 

@@ -6,6 +6,12 @@ probability space with the forward variables rescaled to sum to 1 at every
 step (Rabiner 1989, section V.A), and Viterbi decoding is max-plus in
 log-space, so that sequences of thousands of symbols never underflow.
 
+The forward-backward pass runs over a batch of equal-length sequences at
+once: the Baum-Welch E-step groups its sequences by length and stacks each
+group in batches of at most _BATCH_SEQUENCES, so a step costs a few numpy
+calls per batch rather than per sequence, and the batch arrays stay small
+however large the corpus.  Viterbi decodes one sequence at a time.
+
 Unknown symbols at inference time map to a reserved out-of-vocabulary
 emission column that carries only smoothing-floor mass; drifted logs
 contain unseen values by construction, so a hard failure would be wrong.
@@ -27,6 +33,9 @@ OOV_TOKEN = "<oov>"
 SMOOTHING_EPSILON = 1e-6
 
 _ROW_SUM_ATOL = 1e-9
+
+# most sequences one E-step batch stacks: bounds its (T, B, N) arrays
+_BATCH_SEQUENCES = 256
 
 
 class TriggerNotFoundError(ValueError):
@@ -99,7 +108,8 @@ class Hmm:
 
 def _smooth_rows(counts: np.ndarray) -> np.ndarray:
     smoothed = counts + SMOOTHING_EPSILON
-    return smoothed / smoothed.sum(axis=-1, keepdims=True)
+    smoothed /= smoothed.sum(axis=-1, keepdims=True)
+    return smoothed
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -184,31 +194,33 @@ def build_hmm(matching_lines: list[TokenSequence], cluster: PatternCluster) -> H
     return model
 
 
-def _forward(model: Hmm, obs: np.ndarray):
-    """Scaled forward pass over encoded observations.
+def _forward(model: Hmm, emit: np.ndarray):
+    """Scaled forward pass over a batch of B equal-length sequences.
 
-    Returns (alpha, scale, emit): alpha[t] is the forward variable rescaled
-    to sum to 1, scale[t] the factor it was divided by (the log-likelihood
-    is the sum of log(scale)) and emit[t] the column pe[:, obs[t]].  An
-    impossible sequence stops at its first zero scale; alpha stops before it.
+    emit[t, b] is the emission column pe[:, obs_b[t]], a (T, B, N) array
+    indexed time first so that each step is one contiguous (B, N) block.
+    Returns (alpha, scale): alpha[t, b] is the forward variable of sequence
+    b rescaled to sum to 1 and scale[t, b] the factor it was divided by, so
+    the log-likelihood of sequence b is the sum of log(scale[:, b]).  The
+    pass stops at the first step where any sequence's scale is zero; scale
+    then ends with that step and alpha stops before it.
     """
-    emit = model.pe[:, obs].T
     alpha = np.empty_like(emit)
-    scale = np.empty(len(obs))
-    for t in range(len(obs)):
+    scale = np.empty(emit.shape[:2])
+    for t in range(len(emit)):
         a = (model.ps if t == 0 else alpha[t - 1] @ model.pt) * emit[t]
-        scale[t] = a.sum()
-        if scale[t] == 0:
-            return alpha[:t], scale[: t + 1], emit
-        alpha[t] = a / scale[t]
-    return alpha, scale, emit
+        scale[t] = a.sum(axis=1)
+        if not scale[t].all():
+            return alpha[:t], scale[: t + 1]
+        alpha[t] = a / scale[t, :, None]
+    return alpha, scale
 
 
 def sequence_loglikelihood(model: Hmm, observations: list[str]) -> float:
     """Forward algorithm: log-probability of the sequence over all paths (-inf if none)."""
     if not observations:
         raise ValueError("observation sequence must be non-empty")
-    _, scale, _ = _forward(model, model.encode(observations))
+    _, scale = _forward(model, model.pe.T[model.encode(observations), None])
     return float(_log(scale).sum())
 
 
@@ -238,34 +250,58 @@ def viterbi_decode(model: Hmm, observations: list[str]) -> tuple[list[int], floa
 def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
     """One E-step over all sequences: expected start/transition/emission counts.
 
-    The backward variables of each sequence are divided by the forward
-    pass's scales, so alpha * beta is the state posterior at every step.
+    Sequences of equal length run through forward-backward together, in
+    batches of at most _BATCH_SEQUENCES, so the batch arrays stay bounded
+    however many sequences share a length.  The backward variables are
+    divided by the forward pass's scales, so alpha * beta is the state
+    posterior at every step.  Transition counts are summed inside the
+    backward loop and emission counts once per batch.
     """
     n, m = len(model.states), len(model.emissions)
     ps_acc = np.zeros(n)
     pt_acc = np.zeros((n, n))
     pe_acc = np.zeros((m, n))
     total_ll = 0.0
+    by_length: dict[int, list[np.ndarray]] = {}
     for obs in encoded:
-        alpha, scale, emit = _forward(model, obs)
-        if len(alpha) < len(obs):
-            raise ValueError("a training sequence has probability zero under the model")
-        beta = np.ones_like(alpha)
-        for t in range(len(obs) - 2, -1, -1):
-            beta[t] = model.pt @ (emit[t + 1] * beta[t + 1]) / scale[t + 1]
-        gamma = alpha * beta
-        total_ll += float(np.log(scale).sum())
-        ps_acc += gamma[0]
-        np.add.at(pe_acc, obs, gamma)
-        pt_acc += model.pt * (alpha[:-1].T @ (emit[1:] * beta[1:] / scale[1:, None]))
+        by_length.setdefault(len(obs), []).append(obs)
+    # one contiguous row per symbol; nothing is copied for a model
+    # re-estimated from these counts, whose pe is the returned pe_acc.T
+    pe_by_symbol = np.ascontiguousarray(model.pe.T)
+    for group in by_length.values():
+        for start in range(0, len(group), _BATCH_SEQUENCES):
+            batch = np.stack(group[start : start + _BATCH_SEQUENCES])
+            emit = pe_by_symbol[batch.T]
+            alpha, scale = _forward(model, emit)
+            if len(alpha) < len(emit):
+                raise ValueError("a training sequence has probability zero under the model")
+            # beta holds one step; alpha[t] is turned in place into the
+            # state posterior alpha[t] * beta[t] once step t is done
+            beta = np.ones((len(batch), n))
+            xi = np.zeros((n, n))
+            for t in range(len(alpha) - 2, -1, -1):
+                w = emit[t + 1] * beta / scale[t + 1, :, None]
+                xi += alpha[t].T @ w
+                beta = w @ model.pt.T
+                alpha[t] *= beta
+            total_ll += float(np.log(scale).sum())
+            ps_acc += alpha[0].sum(axis=0)
+            pt_acc += model.pt * xi
+            # sum the posterior rows of each distinct symbol, then add them once
+            symbols = batch.T.ravel()
+            order = np.argsort(symbols, kind="stable")
+            seen, starts = np.unique(symbols[order], return_index=True)
+            pe_acc[seen] += np.add.reduceat(alpha.reshape(-1, n)[order], starts)
     return ps_acc, pt_acc, pe_acc.T, total_ll
 
 
 def _renormalize_or_keep(counts: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Row-normalize expected counts; rows with no mass keep the old row."""
+    """Row-normalize expected counts in place; rows with no mass keep the old row."""
     sums = counts.sum(axis=1, keepdims=True)
-    out = np.where(sums > 0, counts / np.where(sums > 0, sums, 1.0), fallback)
-    return out
+    empty = sums[:, 0] == 0
+    counts /= np.where(empty[:, None], 1.0, sums)
+    counts[empty] = fallback[empty]
+    return counts
 
 
 def extend_alphabet(model: Hmm, symbols) -> Hmm:

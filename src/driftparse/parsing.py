@@ -46,6 +46,12 @@ class KpiTable:
         return {(eid, kpi): value for eid, kpi, value in self.rows}
 
     def to_csv(self) -> str:
+        """The table as CSV text; a repeated key, which from_csv refuses, raises ValueError."""
+        seen = set()
+        for eid, kpi, _ in self.rows:
+            if (eid, kpi) in seen:
+                raise ValueError(f"duplicate KPI row for ({eid}, {kpi})")
+            seen.add((eid, kpi))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         # the writer quotes a field holding its line terminator "\n" but not a
@@ -57,8 +63,9 @@ class KpiTable:
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
+        text = self.to_csv()
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
+            fh.write(text)
 
     @classmethod
     def from_csv(cls, text: str) -> "KpiTable":

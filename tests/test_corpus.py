@@ -105,11 +105,30 @@ class TestLogIo:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(_field, _field, _field, _field.filter(bool)), unique_by=lambda r: r[0]))
     def test_round_trip_any_fields(self, rows):
-        # load_log keeps the first line of a repeated id and rejects empty text
+        # write_log refuses a repeated id and empty text
         records = [EventRecord(eid, ts, kind, text) for eid, ts, kind, text in rows]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.tsv"
             write_log(records, path)
+            result = load_log(path)
+        assert result.rejects == []
+        assert result.records == records
+
+    # few distinct characters, so that repeated ids, empty text, separators
+    # and lone surrogates are common
+    _small_field = st.text(st.sampled_from("a\t\r\n\ud800"), max_size=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_small_field, _small_field, _small_field, _small_field), max_size=5))
+    def test_written_log_loads_back_whole_or_is_refused(self, rows):
+        records = [EventRecord(eid, ts, kind, text) for eid, ts, kind, text in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.tsv"
+            try:
+                write_log(records, path)
+            except ValueError:
+                assert not path.exists()
+                return
             result = load_log(path)
         assert result.rejects == []
         assert result.records == records
@@ -123,6 +142,21 @@ class TestLogIo:
         path = tmp_path / "log.tsv"
         with pytest.raises(ValueError, match=re.escape(repr(values["event_id"]))):
             write_log(records, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (EventRecord("e2", "t2", "scan", ""), "'e2': empty event text"),
+            (EventRecord("e1", "t2", "scan", "again"), "'e1': duplicate event id"),
+            (EventRecord("e2", "t2", "scan", "x\ud800"), "'e2': a field has no UTF-8 form"),
+        ],
+        ids=["empty-text", "repeated-id", "lone-surrogate"],
+    )
+    def test_record_load_log_would_lose_refused(self, tmp_path, second, message):
+        path = tmp_path / "log.tsv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_log([EventRecord("e1", "t1", "scan", "fine"), second], path)
         assert not path.exists()
 
     def test_malformed_lines_rejected_with_reason(self, tmp_path):

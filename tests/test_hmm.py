@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftparse
+from driftparse.adapt import adapt_baum_welch, observation_sequences
+from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus
 from driftparse.hmm import (
     OOV_TOKEN,
     SMOOTHING_EPSILON,
@@ -25,6 +27,7 @@ from driftparse.hmm import (
     viterbi_decode,
 )
 from driftparse.mining import PatternCluster
+from driftparse.pipeline import preprocess_corpus
 from driftparse.preprocess import TokenSequence
 
 
@@ -77,6 +80,31 @@ def brute_force_expected_counts(model, sequences):
             for t in range(1, len(obs)):
                 pt_acc[path[t - 1], path[t]] += w
     return ps_acc, pt_acc, pe_acc, total_ll
+
+
+def per_sequence_expected_counts(model, encoded):
+    """The E-step one sequence at a time, as driftparse ran it before it
+    batched sequences of equal length: scaled forward-backward (Rabiner 1989,
+    section V.A) with the transition counts taken after the backward pass."""
+    n, m = model.pe.shape
+    ps_acc, pt_acc, pe_acc = np.zeros(n), np.zeros((n, n)), np.zeros((m, n))
+    total_ll = 0.0
+    for obs in encoded:
+        emit = model.pe[:, obs].T
+        alpha, scale = np.empty_like(emit), np.empty(len(obs))
+        for t in range(len(obs)):
+            a = (model.ps if t == 0 else alpha[t - 1] @ model.pt) * emit[t]
+            scale[t] = a.sum()
+            alpha[t] = a / scale[t]
+        beta = np.ones_like(alpha)
+        for t in range(len(obs) - 2, -1, -1):
+            beta[t] = model.pt @ (emit[t + 1] * beta[t + 1]) / scale[t + 1]
+        gamma = alpha * beta
+        total_ll += float(np.log(scale).sum())
+        ps_acc += gamma[0]
+        np.add.at(pe_acc, obs, gamma)
+        pt_acc += model.pt * (alpha[:-1].T @ (emit[1:] * beta[1:] / scale[1:, None]))
+    return ps_acc, pt_acc, pe_acc.T, total_ll
 
 
 def brute_force_viterbi(model, observations):
@@ -254,6 +282,122 @@ class TestExpectedCounts:
         assert pt_acc == pytest.approx(oracle[1], rel=1e-9)
         assert pe_acc == pytest.approx(oracle[2], rel=1e-9)
         assert total_ll == pytest.approx(oracle[3], rel=1e-9)
+
+
+    @given(
+        random_model.flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.lists(
+                    st.lists(st.sampled_from(m.emissions[:-1]), min_size=1, max_size=3),
+                    min_size=2,
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batches_of_short_sequences_match_brute_force(self, model_seqs):
+        # 2-6 sequences over 3 lengths: batches of several sequences and of length 1
+        model, sequences = model_seqs
+        counts = _expected_counts(model, [model.encode(seq) for seq in sequences])
+        oracle = brute_force_expected_counts(model, sequences)
+        for got, expected in zip(counts, oracle):
+            assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_small_batch_bound_gives_the_same_counts(self, monkeypatch):
+        model = make_hmm(
+            [0.6, 0.4],
+            [[0.7, 0.3], [0.2, 0.8]],
+            [[0.5, 0.4, 0.1], [0.1, 0.8, 0.1]],
+        )
+        sequences = [["e0", "e1", "e1"], ["e1"], ["e1", "e0", "e0"], ["e0", "e0", "e1"],
+                     ["e0"], ["e1", "e1", "e1"], ["e0", "e1"], ["e1"], ["e0", "e0", "e0"]]
+        encoded = [model.encode(seq) for seq in sequences]
+        default = _expected_counts(model, encoded)
+        monkeypatch.setattr(driftparse.hmm, "_BATCH_SEQUENCES", 2)
+        small = _expected_counts(model, encoded)
+        oracle = brute_force_expected_counts(model, sequences)
+        for got, expected, exact in zip(small, default, oracle):
+            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(exact, rel=1e-9)
+
+    def test_impossible_sequence_in_a_batch_raises(self):
+        # no state emits e1; the other sequences of the same length are possible
+        model = make_hmm(
+            [0.6, 0.4],
+            [[0.7, 0.3], [0.2, 0.8]],
+            [[0.5, 0.0, 0.5], [0.9, 0.0, 0.1]],
+        )
+        sequences = [["e0", "e0", "e0"], ["e0", "e1", "e0"], ["e0", "e0", "e0"]]
+        with pytest.raises(ValueError, match="probability zero"):
+            _expected_counts(model, [model.encode(seq) for seq in sequences])
+        assert sequence_loglikelihood(model, sequences[1]) == -math.inf
+        assert math.isfinite(sequence_loglikelihood(model, sequences[0]))
+
+
+@pytest.fixture(scope="module")
+def drift_lines():
+    """A generated system-B log of about 300 events, preprocessed."""
+    records, _ = generate_corpus(
+        GeneratorConfig(seed=7, n_events=300, drift_profile=DRIFT_SYSTEM_B)
+    )
+    return preprocess_corpus(records)
+
+
+class TestExpectedCountsAtLogSize:
+    """The batched E-step against the per-sequence reference on a real log."""
+
+    def encoded(self, bundle_a, drift_lines):
+        sequences = [s for s in observation_sequences(bundle_a.hmm.states, drift_lines) if s]
+        model = extend_alphabet(bundle_a.hmm, (tok for seq in sequences for tok in seq))
+        return model, [model.encode(seq) for seq in sequences]
+
+    def test_matches_per_sequence_reference(self, bundle_a, drift_lines):
+        model, encoded = self.encoded(bundle_a, drift_lines)
+        counts = _expected_counts(model, encoded)
+        reference = per_sequence_expected_counts(model, encoded)
+        for got, expected in zip(counts, reference):
+            assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_refit_matches_per_sequence_reference(self, bundle_a, drift_lines, monkeypatch):
+        fitted, pattern, report = adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, drift_lines)
+        monkeypatch.setattr(driftparse.hmm, "_expected_counts", per_sequence_expected_counts)
+        ref_fitted, ref_pattern, ref_report = adapt_baum_welch(
+            bundle_a.hmm, bundle_a.pattern, drift_lines
+        )
+        assert pattern == ref_pattern
+        assert len(report.loglik_trace) == len(ref_report.loglik_trace)
+        assert fitted.emissions == ref_fitted.emissions
+        assert fitted.pe == pytest.approx(ref_fitted.pe, rel=1e-9)
+
+    @pytest.mark.parametrize("bound", [None, 16])
+    def test_one_forward_pass_per_bounded_batch(self, bundle_a, drift_lines, monkeypatch, bound):
+        # a silent fallback to one pass per sequence, or to unbounded
+        # batches, would show here
+        if bound is not None:
+            monkeypatch.setattr(driftparse.hmm, "_BATCH_SEQUENCES", bound)
+        limit = driftparse.hmm._BATCH_SEQUENCES
+        model, encoded = self.encoded(bundle_a, drift_lines)
+        real_forward = driftparse.hmm._forward
+        batches = []
+
+        def spy(model, emit):
+            batches.append(emit.shape[:2])
+            return real_forward(model, emit)
+
+        monkeypatch.setattr(driftparse.hmm, "_forward", spy)
+        _expected_counts(model, encoded)
+        group_sizes = {}
+        for obs in encoded:
+            group_sizes[len(obs)] = group_sizes.get(len(obs), 0) + 1
+        if bound is not None:
+            assert max(group_sizes.values()) > bound  # some group is split
+        for length, size in group_sizes.items():
+            sizes = [b for t, b in batches if t == length]
+            assert len(sizes) <= -(-size // limit)
+            assert sum(sizes) == size
+        assert max(b for _, b in batches) <= limit
 
 
 class TestViterbi:

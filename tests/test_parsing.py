@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +116,15 @@ class TestKpiTable:
         text = "event_id,kpi,value\ne1,ctdi,1.00\ne1,ctdi,2.00\n"
         with pytest.raises(ValueError, match="duplicate"):
             KpiTable.from_csv(text)
+
+    def test_duplicate_key_not_written(self, tmp_path):
+        table = KpiTable([("e1", "ctdi", "1.00"), ("e2", "ctdi", "1.00"), ("e1", "ctdi", "2.00")])
+        with pytest.raises(ValueError, match=re.escape("duplicate KPI row for (e1, ctdi)")):
+            table.to_csv()
+        path = tmp_path / "kpi.csv"
+        with pytest.raises(ValueError, match="duplicate"):
+            table.write_csv(path)
+        assert not path.exists()
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
