@@ -15,9 +15,19 @@ Two strategies with opposite failure modes, both deliberately preserved:
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
-from .hmm import FitConfig, Hmm, baum_welch_fit, find_trigger_state, state_usage, viterbi_decode
+from .hmm import (
+    FitConfig,
+    Hmm,
+    baum_welch_fit,
+    find_trigger_state,
+    observation_sequences,
+    state_usage,
+    viterbi_decode,
+)
 from .parsing import ParsingPattern, normalize_aliases
 from .preprocess import TokenSequence
 
@@ -35,27 +45,6 @@ class AdaptReport:
     loglik_trace: tuple[float, ...] = ()
 
 
-def observation_sequences(states, corpus: list[TokenSequence]) -> list[list[str]]:
-    """Per line, the tokens immediately following each state-token occurrence.
-
-    Every state occurrence (except a line-final one) contributes one
-    observation, whether or not the follower is itself a state token.  The
-    rule decides which tokens vote in the Viterbi consensus and what the
-    Baum-Welch refit model is fitted to; it does not affect the refit
-    pattern, which comes from state_usage counts of the state tokens.
-    """
-    state_set = frozenset(states)
-    sequences = []
-    for line in corpus:
-        obs = [
-            line.tokens[i + 1]
-            for i in range(len(line.tokens) - 1)
-            if line.tokens[i] in state_set
-        ]
-        sequences.append(obs)
-    return sequences
-
-
 def adapt_baum_welch(
     model: Hmm,
     pattern: ParsingPattern,
@@ -70,9 +59,12 @@ def adapt_baum_welch(
     are dropped, and a dropped trigger is re-chosen among the kept states by
     find_trigger_state.  The Baum-Welch refit does not affect the pattern;
     it only produces the model returned here and saved into the bundle.
+    A floor that is negative or not finite is refused before the refit runs.
     """
     if not new_corpus:
         raise ValueError("new_corpus must be non-empty")
+    if not (math.isfinite(occupancy_floor) and occupancy_floor >= 0):
+        raise ValueError("occupancy_floor must be finite and >= 0")
     sequences = [s for s in observation_sequences(model.states, new_corpus) if s]
     if not sequences:
         raise ValueError("no state-relevant observations in new corpus")
@@ -103,6 +95,13 @@ def adapt_viterbi(
     Only high-confidence lines vote: a line must carry at least
     DEFAULT_COVERAGE_FRACTION of the pattern's states, otherwise unrelated lines
     that merely share a token or two would dilute every consensus.
+
+    On the corpora the tests check (acceptance 4's drifted log and generated
+    system_b logs of seeds 0-9), the adapted pattern does not depend on the
+    model's probabilities: it equals a model-free anchored vote, in which a
+    token joins when it follows the same state token in at least
+    consensus_fraction of the voting lines.  The decode stays, as the
+    paper's method; that test makes any divergence from the vote visible.
     """
     if not new_corpus:
         raise ValueError("new_corpus must be non-empty")
@@ -112,15 +111,13 @@ def adapt_viterbi(
     min_states = DEFAULT_COVERAGE_FRACTION * len(state_set)
     sequences = observation_sequences(model.states, new_corpus)
     decoded = 0
-    pair_line_counts: dict[tuple[str, int], int] = {}
+    pair_line_counts: Counter[tuple[str, int]] = Counter()
     for line, obs in zip(new_corpus, sequences):
         if not obs or len(line.token_set() & state_set) < min_states:
             continue
         path, _ = viterbi_decode(model, obs)
         decoded += 1
-        for token, state in set(zip(obs, path)):
-            key = (token, state)
-            pair_line_counts[key] = pair_line_counts.get(key, 0) + 1
+        pair_line_counts.update(set(zip(obs, path)))
     if decoded == 0:
         raise ValueError("no decodable lines in new corpus")
     additions = frozenset(

@@ -17,6 +17,8 @@ from .adapt import (
 )
 from .bundle import FORMAT_VERSION, ModelBundle, bundle_to_document, load_bundle, save_bundle
 from .corpus import (
+    DRIFT_NONE,
+    DRIFT_SYSTEM_B,
     GeneratorConfig,
     file_digest,
     generate_corpus,
@@ -27,8 +29,8 @@ from .corpus import (
 )
 from .evaluate import confusion, format_confusion
 from .hmm import FitConfig
+from .parsing import DEFAULT_KPI
 from .pipeline import parse_records, preprocess_corpus, train
-from .preprocess import DEFAULT_STOPWORDS, load_stopwords
 
 
 class CliError(Exception):
@@ -56,12 +58,6 @@ def _load_records(path):
     if not result.records:
         raise CliError(f"no usable events in {path}")
     return result.records
-
-
-def _stopwords(args):
-    if getattr(args, "stopwords", None):
-        return load_stopwords(args.stopwords)
-    return DEFAULT_STOPWORDS
 
 
 def cmd_gen(args) -> int:
@@ -94,7 +90,6 @@ def cmd_train(args) -> int:
         kpi_name=args.kpi,
         threshold=args.threshold,
         aliases=args.alias or None,
-        stopwords=_stopwords(args),
         provenance=f"sha256:{file_digest(args.log)}",
     )
     _atomic_write(Path(args.output), lambda tmp: save_bundle(bundle, tmp))
@@ -108,7 +103,7 @@ def cmd_train(args) -> int:
 def cmd_parse(args) -> int:
     bundle = load_bundle(args.bundle)
     records = _load_records(args.log)
-    table = parse_records(bundle.pattern, records, _stopwords(args))
+    table = parse_records(bundle.pattern, records)
     _atomic_write(Path(args.output), lambda tmp: table.write_csv(tmp))
     print(f"parsed {len(table.rows)} rows from {len(records)} lines")
     return 0
@@ -117,7 +112,7 @@ def cmd_parse(args) -> int:
 def cmd_adapt(args) -> int:
     bundle = load_bundle(args.bundle)
     records = _load_records(args.log)
-    corpus = preprocess_corpus(records, _stopwords(args))
+    corpus = preprocess_corpus(records)
     if args.strategy == "baum-welch":
         model, pattern, report = adapt_baum_welch(
             bundle.hmm,
@@ -195,27 +190,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic corpus plus ground truth")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--events", type=int, required=True)
-    p.add_argument("--drift", choices=("none", "system_b"), default="none")
-    p.add_argument("--kpi", default="ctdi")
-    p.add_argument("--kpi-fraction", type=float, default=0.35)
+    p.add_argument("--drift", choices=(DRIFT_NONE, DRIFT_SYSTEM_B),
+                   default=GeneratorConfig.drift_profile)
+    p.add_argument("--kpi", default=DEFAULT_KPI)
+    p.add_argument("--kpi-fraction", type=float, default=GeneratorConfig.kpi_line_fraction)
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="learn a parsing pattern from logs plus truth")
     p.add_argument("log")
     p.add_argument("truth")
-    p.add_argument("--kpi", default="ctdi")
+    p.add_argument("--kpi", default=DEFAULT_KPI)
     p.add_argument("--threshold", type=int, default=None,
                    help="mining threshold (default: number of truth rows)")
     p.add_argument("--alias", action="append", help="additional trigger alias token")
-    p.add_argument("--stopwords", help="newline-delimited stopword file")
     p.add_argument("-o", "--output", required=True, help="bundle output path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("parse", help="extract KPI values with a trained bundle")
     p.add_argument("bundle")
     p.add_argument("log")
-    p.add_argument("--stopwords")
     p.add_argument("-o", "--output", required=True, help="KPI CSV output path")
     p.set_defaults(func=cmd_parse)
 
@@ -223,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle")
     p.add_argument("log")
     p.add_argument("--strategy", choices=("baum-welch", "viterbi"), required=True)
-    p.add_argument("--stopwords")
     p.add_argument("--max-iterations", type=int, default=FitConfig().max_iterations)
     p.add_argument("--occupancy-floor", type=float, default=DEFAULT_OCCUPANCY_FLOOR)
     p.add_argument("--consensus", type=float, default=DEFAULT_CONSENSUS_FRACTION)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from random import Random
 
-from .parsing import KpiTable
+from .parsing import DEFAULT_KPI, KpiTable
 from .preprocess import EventRecord, normalize_number
 
 DRIFT_NONE = "none"
@@ -68,7 +68,7 @@ class GeneratorConfig:
     n_events: int
     kpi_line_fraction: float = 0.35
     drift_profile: str = DRIFT_NONE
-    kpi_name: str = "ctdi"
+    kpi_name: str = DEFAULT_KPI
     noise_profile: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -13,8 +13,11 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .hmm import Hmm
+from .hmm import Hmm, state_followers
 from .preprocess import TokenSequence, is_number, normalize_number
+
+# the KPI a generated corpus plants and a trained pattern extracts by default
+DEFAULT_KPI = "ctdi"
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,17 @@ class KpiTable:
     @classmethod
     def from_csv(cls, text: str) -> "KpiTable":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            # a lone carriage return in an unquoted field, for one
+            raise ValueError(f"bad KPI table line {reader.line_num}: {exc}") from None
+        header = rows[0] if rows else None
         if header is None or tuple(header) != cls.CSV_HEADER:
             raise ValueError(f"bad KPI table header: {header!r}")
         table = cls()
         seen = set()
-        for row in reader:
+        for row in rows[1:]:
             if len(row) != 3:
                 raise ValueError(f"bad KPI table row: {row!r}")
             eid, kpi, value = row
@@ -112,9 +120,8 @@ def parse_event(pattern: ParsingPattern, line: TokenSequence) -> str | None:
     """
     if not pattern.required_tokens <= line.token_set():
         return None
-    aliases = set(pattern.trigger_aliases)
-    for current, following in zip(line.tokens, line.tokens[1:]):
-        if current in aliases and is_number(following):
+    for _, following in state_followers(line.tokens, frozenset(pattern.trigger_aliases)):
+        if is_number(following):
             return normalize_number(following)
     return None
 

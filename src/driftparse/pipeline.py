@@ -5,27 +5,24 @@ from __future__ import annotations
 from .bundle import ModelBundle
 from .hmm import TriggerNotFoundError, build_hmm, find_trigger_state
 from .mining import MiningConfig, mine_clusters
-from .parsing import KpiTable, ParsingPattern, compile_pattern, parse_corpus
-from .preprocess import DEFAULT_STOPWORDS, EventRecord, TokenSequence, preprocess_event
+from .parsing import DEFAULT_KPI, KpiTable, ParsingPattern, compile_pattern, parse_corpus
+from .preprocess import EventRecord, TokenSequence, preprocess_event
 
 
 class TrainingError(ValueError):
     """The pipeline could not produce a usable pattern."""
 
 
-def preprocess_corpus(
-    records: list[EventRecord], stopwords: frozenset[str] = DEFAULT_STOPWORDS
-) -> list[TokenSequence]:
-    return [preprocess_event(r, stopwords) for r in records]
+def preprocess_corpus(records: list[EventRecord]) -> list[TokenSequence]:
+    return [preprocess_event(r) for r in records]
 
 
 def train(
     records: list[EventRecord],
     truth: KpiTable,
-    kpi_name: str = "ctdi",
+    kpi_name: str = DEFAULT_KPI,
     threshold: int | None = None,
     aliases: list[str] | None = None,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     provenance: str = "",
 ) -> ModelBundle:
     """Learn a parsing pattern from example logs plus a ground-truth table.
@@ -39,7 +36,7 @@ def train(
         threshold = len(truth.rows)
     if threshold < 1:
         raise TrainingError("threshold would be zero: the truth table has no rows")
-    corpus = preprocess_corpus(records, stopwords)
+    corpus = preprocess_corpus(records)
     config = MiningConfig(threshold=threshold)
     for cluster in mine_clusters(corpus, config).clusters:
         matching = [line for line in corpus if cluster.tokens <= line.token_set()]
@@ -53,9 +50,5 @@ def train(
     raise TrainingError(f"no cluster with support >= {threshold} has a trigger state")
 
 
-def parse_records(
-    pattern: ParsingPattern,
-    records: list[EventRecord],
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-) -> KpiTable:
-    return parse_corpus(pattern, preprocess_corpus(records, stopwords))
+def parse_records(pattern: ParsingPattern, records: list[EventRecord]) -> KpiTable:
+    return parse_corpus(pattern, preprocess_corpus(records))

@@ -33,9 +33,10 @@ _MIN_STEM = 3
 # many distinct tokens.
 _TOKEN_CACHE_SIZE = 1 << 16
 
-# Embedded English stopword list.  Deliberately small: machine-written logs
-# reuse short words ("no", "of", "on", "off", "a") as field content, so
-# those must survive preprocessing and are excluded here.
+# The one stopword list: a bundle does not record one, so training, parsing
+# and adaptation must all drop the same words.  Deliberately small:
+# machine-written logs reuse short words ("no", "of", "on", "off", "a") as
+# field content, so those must survive preprocessing and are excluded here.
 DEFAULT_STOPWORDS = frozenset(
     """
     the and or is are was were be been being am to in for with by at from
@@ -125,17 +126,11 @@ def _normalize_token(token: str) -> str:
     return normalize_number(token) if is_number(token) else stem(token)
 
 
-def preprocess_tokens(raw_tokens: list[str], stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
+def preprocess_tokens(raw_tokens: list[str]) -> list[str]:
     """Drop stopwords, stem words, canonicalize numbers; order preserved."""
-    return [_normalize_token(token) for token in raw_tokens if token not in stopwords]
+    return [_normalize_token(token) for token in raw_tokens if token not in DEFAULT_STOPWORDS]
 
 
-def preprocess_event(event: EventRecord, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> TokenSequence:
+def preprocess_event(event: EventRecord) -> TokenSequence:
     """Turn a raw event into its normalized token sequence."""
-    return TokenSequence(event.event_id, tuple(preprocess_tokens(tokenize(event.text), stopwords)))
-
-
-def load_stopwords(path) -> frozenset[str]:
-    """Read a newline-delimited stopword file (blank lines ignored)."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
+    return TokenSequence(event.event_id, tuple(preprocess_tokens(tokenize(event.text))))

@@ -7,11 +7,12 @@ from driftparse.adapt import (
     DEFAULT_COVERAGE_FRACTION,
     adapt_baum_welch,
     adapt_viterbi,
-    observation_sequences,
 )
+from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus
 from driftparse.evaluate import confusion, sensitivity
-from driftparse.hmm import state_usage, viterbi_decode
+from driftparse.hmm import observation_sequences, state_usage, viterbi_decode
 from driftparse.parsing import parse_corpus
+from driftparse.pipeline import preprocess_corpus, train
 from driftparse.preprocess import TokenSequence
 
 
@@ -23,6 +24,25 @@ def adapted_bw(bundle_a, lines_b):
 @pytest.fixture(scope="module")
 def adapted_vit(bundle_a, lines_b):
     return adapt_viterbi(bundle_a.hmm, bundle_a.pattern, lines_b)
+
+
+def anchored_vote(pattern, states, lines):
+    """Model-free reference for adapt_viterbi's pattern.
+
+    A line votes when it carries at least DEFAULT_COVERAGE_FRACTION of the
+    states and some state is followed by a token; a token joins the pattern
+    when it follows the same state token in at least
+    DEFAULT_CONSENSUS_FRACTION of the voting lines.
+    """
+    state_set = frozenset(states)
+    votes, voting = Counter(), 0
+    for line in lines:
+        pairs = {(a, b) for a, b in zip(line.tokens, line.tokens[1:]) if a in state_set}
+        if pairs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set):
+            votes.update(pairs)
+            voting += 1
+    joined = {token for (_, token), n in votes.items() if n / voting >= DEFAULT_CONSENSUS_FRACTION}
+    return pattern.required_tokens | joined
 
 
 def hit_rate(pattern, lines, truth):
@@ -81,6 +101,15 @@ class TestBaumWelchAdaptation:
         with pytest.raises(ValueError):
             adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, [])
 
+    @pytest.mark.parametrize("floor", [-1.0, float("nan"), float("inf")])
+    def test_bad_occupancy_floor_rejected_before_the_refit(self, bundle_a, lines_b, floor, monkeypatch):
+        def no_refit(*args, **kwargs):
+            raise AssertionError("the refit ran")
+
+        monkeypatch.setattr("driftparse.adapt.baum_welch_fit", no_refit)
+        with pytest.raises(ValueError, match="occupancy_floor"):
+            adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, lines_b, occupancy_floor=floor)
+
 
 class TestViterbiAdaptation:
     def test_pattern_grows(self, bundle_a, adapted_vit):
@@ -109,6 +138,20 @@ class TestViterbiAdaptation:
         expected = {tok for (tok, _), n in votes.items() if n / voting >= DEFAULT_CONSENSUS_FRACTION}
         _, pattern, _ = adapted_vit
         assert pattern.required_tokens == bundle_a.pattern.required_tokens | expected
+
+    def test_pattern_equals_anchored_vote(self, bundle_a, lines_b, adapted_vit):
+        _, pattern, _ = adapted_vit
+        assert pattern.required_tokens == anchored_vote(bundle_a.pattern, bundle_a.hmm.states, lines_b)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pattern_equals_anchored_vote_on_generated_drift(self, seed):
+        trained = train(*generate_corpus(GeneratorConfig(seed=seed, n_events=600)))
+        drifted, _ = generate_corpus(
+            GeneratorConfig(seed=seed + 1000, n_events=400, drift_profile=DRIFT_SYSTEM_B)
+        )
+        lines = preprocess_corpus(drifted)
+        _, pattern, _ = adapt_viterbi(trained.hmm, trained.pattern, lines)
+        assert pattern.required_tokens == anchored_vote(trained.pattern, trained.hmm.states, lines)
 
     def test_stricter_consensus_adds_no_more(self, bundle_a, lines_b, adapted_vit):
         _, default_pattern, _ = adapted_vit

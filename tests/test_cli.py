@@ -6,9 +6,10 @@ import pytest
 
 from driftparse.adapt import DEFAULT_CONSENSUS_FRACTION, DEFAULT_OCCUPANCY_FLOOR, adapt_baum_welch
 from driftparse.cli import build_parser, main
-from driftparse.corpus import file_digest
+from driftparse.corpus import DRIFT_NONE, DRIFT_SYSTEM_B, GeneratorConfig, file_digest
 from driftparse.hmm import FitConfig
 from driftparse.parsing import KpiTable
+from driftparse.pipeline import train
 
 from .conftest import A_SEED, B_SEED
 
@@ -162,6 +163,14 @@ class TestParseEval:
         assert "accuracy    99.7%" in out
         assert "sensitivity 52.6%" in out
 
+    def test_eval_unquoted_lone_carriage_return_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"event_id,kpi,value\ne1\rx,ctdi,1.0\n")
+        code, _, err = run(capsys, "eval", str(bad), str(bad), "--universe", "10")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "line 2" in err
+
     def test_eval_universe_too_small_errors(self, workdir, capsys):
         code, _, err = run(capsys, "eval", str(workdir / "a/truth.csv"),
                            str(workdir / "a/truth.csv"), "--universe", "1")
@@ -197,6 +206,18 @@ class TestAdapt:
         assert len(report["required_tokens_after"]) > len(report["required_tokens_before"])
 
 
+    @pytest.mark.parametrize("floor", ["-1", "nan"])
+    def test_bad_occupancy_floor_writes_nothing(self, workdir, tmp_path, capsys, floor):
+        out_bundle = tmp_path / "adapted.json"
+        code, _, err = run(
+            capsys, "adapt", str(workdir / "model.json"), str(workdir / "b/log.tsv"),
+            "--strategy", "baum-welch", f"--occupancy-floor={floor}", "-o", str(out_bundle),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "occupancy_floor" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDefaults:
     def test_adapt_defaults_match_library(self):
         args = build_parser().parse_args(
@@ -206,6 +227,24 @@ class TestDefaults:
         assert args.occupancy_floor == DEFAULT_OCCUPANCY_FLOOR
         assert args.consensus == DEFAULT_CONSENSUS_FRACTION
         assert inspect.signature(adapt_baum_welch).parameters["config"].default == FitConfig()
+
+    def test_gen_defaults_match_library(self):
+        parser = build_parser()
+        gen = ["gen", "--seed", "1", "--events", "10", "-o", "out"]
+        args = parser.parse_args(gen)
+        config = GeneratorConfig(seed=1, n_events=10)
+        assert args.kpi_fraction == config.kpi_line_fraction
+        assert args.drift == config.drift_profile
+        assert args.kpi == config.kpi_name
+        for drift in (DRIFT_NONE, DRIFT_SYSTEM_B):
+            assert parser.parse_args(gen + ["--drift", drift]).drift == drift
+        with pytest.raises(SystemExit):
+            parser.parse_args(gen + ["--drift", "system_c"])
+
+    def test_train_kpi_matches_library(self):
+        args = build_parser().parse_args(["train", "log.tsv", "truth.csv", "-o", "model.json"])
+        assert args.kpi == inspect.signature(train).parameters["kpi_name"].default
+        assert args.kpi == GeneratorConfig(seed=1, n_events=10).kpi_name
 
 
 class TestInspect:

