@@ -98,8 +98,13 @@ def _float_vector(values, path: str) -> np.ndarray:
         raise BundleError(f"expected array at {path}")
     try:
         # a model row repeats a few distinct values (pe: 36 among 92k entries
-        # at 2,300 symbols), so each is parsed once and looked up after
-        parsed = {x: float(x) for x in set(values)}
+        # at 2,300 symbols), so each is checked and parsed once and looked up
+        # after; the schema stores every probability as a string, so a JSON
+        # number or boolean is refused, not passed through float()
+        distinct = set(values)
+        if not all(type(x) is str for x in distinct):
+            raise TypeError
+        parsed = {x: float(x) for x in distinct}
     except (TypeError, ValueError, OverflowError):
         raise BundleError(f"bad number in {path}") from None
     return np.array([parsed[x] for x in values], dtype=float)

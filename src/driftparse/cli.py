@@ -132,6 +132,8 @@ def cmd_adapt(args) -> int:
         "required_tokens_before": sorted(report.pattern_before.required_tokens),
         "required_tokens_after": sorted(report.pattern_after.required_tokens),
         "loglik_trace": list(report.loglik_trace),
+        "voting_lines": report.voting_lines,
+        "consensus": dict(report.consensus),
     }
 
     def write_report(tmp):

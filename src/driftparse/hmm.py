@@ -16,7 +16,11 @@ The forward-backward pass runs over a batch of equal-length sequences at
 once: the Baum-Welch E-step groups its sequences by length and stacks each
 group in batches of at most _BATCH_SEQUENCES, so a step costs a few numpy
 calls per batch rather than per sequence, and the batch arrays stay small
-however large the corpus.  Viterbi decodes one sequence at a time.
+however large the corpus.  Viterbi decodes one sequence per call, in
+log-space, so the oracle tests check the very code adaptation runs; a step
+fills one (N, N) score buffer and takes one argmax.  Its path depends only
+on the encoded sequence, so adapt_viterbi decodes each distinct encoding
+once and reuses the path for every line that encodes the same way.
 
 Unknown symbols at inference time map to a reserved out-of-vocabulary
 emission column that carries only smoothing-floor mass; drifted logs
@@ -244,19 +248,26 @@ def sequence_loglikelihood(model: Hmm, observations: list[str]) -> float:
 def viterbi_decode(model: Hmm, observations: list[str]) -> tuple[list[int], float]:
     """Most probable state path and its joint log-probability.
 
-    Ties are broken toward the lowest state index at every step.
+    Ties are broken toward the lowest state index at every step.  Each step
+    reads the best score at its argmax instead of reducing a second time:
+    the value at the first argmax is the maximum bit for bit, as the log
+    tables hold no NaN (validate refuses non-finite probabilities).
     """
     if not observations:
         raise ValueError("observation sequence must be non-empty")
     obs = model.encode(observations)
     log_ps, log_pt, log_pe_by_symbol = model._log_tables
     emit = log_pe_by_symbol[obs]
+    n = len(model.states)
+    columns = np.arange(n)
+    scores = np.empty((n, n))
     delta = log_ps + emit[0]
-    back = np.zeros((len(obs), len(model.states)), dtype=np.intp)
+    back = np.zeros((len(obs), n), dtype=np.intp)
     for t in range(1, len(obs)):
-        scores = delta[:, None] + log_pt
+        np.add(delta[:, None], log_pt, out=scores)
         scores.argmax(axis=0, out=back[t])
-        delta = scores.max(axis=0) + emit[t]
+        delta = scores[back[t], columns]
+        delta += emit[t]
     path = [int(np.argmax(delta))]
     for t in range(len(obs) - 1, 0, -1):
         path.append(int(back[t, path[-1]]))

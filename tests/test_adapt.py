@@ -1,7 +1,9 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
+import driftparse.adapt
 from driftparse.adapt import (
     DEFAULT_CONSENSUS_FRACTION,
     DEFAULT_COVERAGE_FRACTION,
@@ -10,8 +12,8 @@ from driftparse.adapt import (
 )
 from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus
 from driftparse.evaluate import confusion, sensitivity
-from driftparse.hmm import observation_sequences, state_usage, viterbi_decode
-from driftparse.parsing import parse_corpus
+from driftparse.hmm import OOV_TOKEN, Hmm, observation_sequences, state_usage, viterbi_decode
+from driftparse.parsing import ParsingPattern, parse_corpus
 from driftparse.pipeline import preprocess_corpus, train
 from driftparse.preprocess import TokenSequence
 
@@ -138,6 +140,43 @@ class TestViterbiAdaptation:
         expected = {tok for (tok, _), n in votes.items() if n / voting >= DEFAULT_CONSENSUS_FRACTION}
         _, pattern, _ = adapted_vit
         assert pattern.required_tokens == bundle_a.pattern.required_tokens | expected
+
+    def test_each_distinct_encoding_decoded_once(self, bundle_a, lines_b, monkeypatch):
+        model = bundle_a.hmm
+        state_set = frozenset(model.states)
+        voting = [
+            obs
+            for line, obs in zip(lines_b, observation_sequences(model.states, lines_b))
+            if obs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set)
+        ]
+        decoded = []
+
+        def spy(m, observations):
+            decoded.append(m.encode(observations).tobytes())
+            return viterbi_decode(m, observations)
+
+        monkeypatch.setattr(driftparse.adapt, "viterbi_decode", spy)
+        _, _, report = adapt_viterbi(model, bundle_a.pattern, lines_b)
+        distinct = {model.encode(obs).tobytes() for obs in voting}
+        assert set(decoded) == distinct
+        assert len(decoded) == len(distinct) < len(voting) == report.voting_lines
+
+    def test_lines_of_equal_length_that_encode_differently_decode_apart(self):
+        # s0 emits x and s1 emits y: "x y" decodes to [0, 1] and "y x" to [1, 0];
+        # reusing one path for both would split each token's votes 1 to 1
+        model = Hmm(
+            ("s0", "s1"),
+            ("x", "y", OOV_TOKEN),
+            np.array([0.5, 0.5]),
+            np.array([[0.5, 0.5], [0.5, 0.5]]),
+            np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05]]),
+        )
+        pattern = ParsingPattern(frozenset(model.states), "s0", "ctdi", ("s0",))
+        lines = [TokenSequence("e1", ("s0", "x", "s1", "y")), TokenSequence("e2", ("s1", "y", "s0", "x"))]
+        _, adapted, report = adapt_viterbi(model, pattern, lines)
+        assert adapted.required_tokens == {"s0", "s1", "x", "y"}
+        assert report.voting_lines == 2
+        assert report.consensus == (("x", 1.0), ("y", 1.0))
 
     def test_pattern_equals_anchored_vote(self, bundle_a, lines_b, adapted_vit):
         _, pattern, _ = adapted_vit

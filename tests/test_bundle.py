@@ -160,6 +160,20 @@ class TestValidation:
         with pytest.raises(BundleError, match=r"bad number in \$\.hmm\.pe\[1\]"):
             document_to_bundle(doc)
 
+    def test_boolean_probabilities_rejected(self, bundle_a):
+        # true, false, ... would load as the valid start distribution (1, 0, ...)
+        doc = doc_of(bundle_a)
+        doc["hmm"]["ps"] = [True] + [False] * (len(doc["hmm"]["ps"]) - 1)
+        with pytest.raises(BundleError, match=r"bad number in \$\.hmm\.ps"):
+            document_to_bundle(doc)
+
+    def test_json_number_probabilities_rejected(self, bundle_a):
+        # the same values as JSON numbers would load unchanged
+        doc = doc_of(bundle_a)
+        doc["hmm"]["pe"][1] = [float(x) for x in doc["hmm"]["pe"][1]]
+        with pytest.raises(BundleError, match=r"bad number in \$\.hmm\.pe\[1\]"):
+            document_to_bundle(doc)
+
     def test_ragged_matrix_names_row(self, bundle_a):
         doc = doc_of(bundle_a)
         doc["hmm"]["pt"][2] = doc["hmm"]["pt"][2][:-1]

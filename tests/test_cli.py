@@ -4,12 +4,18 @@ import re
 
 import pytest
 
-from driftparse.adapt import DEFAULT_CONSENSUS_FRACTION, DEFAULT_OCCUPANCY_FLOOR, adapt_baum_welch
+from driftparse.adapt import (
+    DEFAULT_CONSENSUS_FRACTION,
+    DEFAULT_OCCUPANCY_FLOOR,
+    adapt_baum_welch,
+    adapt_viterbi,
+)
+from driftparse.bundle import load_bundle
 from driftparse.cli import build_parser, main
-from driftparse.corpus import DRIFT_NONE, DRIFT_SYSTEM_B, GeneratorConfig, file_digest
+from driftparse.corpus import DRIFT_NONE, DRIFT_SYSTEM_B, GeneratorConfig, file_digest, load_log
 from driftparse.hmm import FitConfig
 from driftparse.parsing import KpiTable
-from driftparse.pipeline import train
+from driftparse.pipeline import preprocess_corpus, train
 
 from .conftest import A_SEED, B_SEED
 
@@ -190,6 +196,7 @@ class TestAdapt:
         report = json.loads((tmp_path / "adapted.json.report.json").read_text())
         assert len(report["required_tokens_after"]) < len(report["required_tokens_before"])
         assert report["loglik_trace"]
+        assert report["voting_lines"] == 0 and report["consensus"] == {}
         doc = json.loads(out_bundle.read_text())
         assert doc["pattern"]["required_tokens"] == report["required_tokens_after"]
 
@@ -204,6 +211,23 @@ class TestAdapt:
         assert "strategy: viterbi" in out
         report = json.loads(report_path.read_text())
         assert len(report["required_tokens_after"]) > len(report["required_tokens_before"])
+
+    def test_viterbi_report_holds_voting_lines_and_consensus(self, workdir, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "adapt", str(workdir / "model.json"), str(workdir / "b/log.tsv"),
+            "--strategy", "viterbi", "--report", str(report_path), "-o", str(tmp_path / "adapted.json"),
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        bundle = load_bundle(workdir / "model.json")
+        lines = preprocess_corpus(load_log(workdir / "b/log.tsv").records)
+        _, _, expected = adapt_viterbi(bundle.hmm, bundle.pattern, lines)
+        assert report["voting_lines"] == expected.voting_lines > 0
+        assert report["consensus"] == dict(expected.consensus)
+        added = set(report["required_tokens_after"]) - set(report["required_tokens_before"])
+        assert set(report["consensus"]) == added
+        assert all(DEFAULT_CONSENSUS_FRACTION <= share <= 1 for share in report["consensus"].values())
 
 
     @pytest.mark.parametrize("floor", ["-1", "nan"])

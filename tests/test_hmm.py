@@ -154,6 +154,47 @@ random_model = st.integers(min_value=2, max_value=3).flatmap(
 )
 
 
+def two_reduction_viterbi(model, observations):
+    """Reference Viterbi that takes each step's best score with a second
+    reduction, scores.max, beside the argmax that records the back-pointer."""
+    obs = model.encode(observations)
+    log_ps, log_pt, log_pe_by_symbol = model._log_tables
+    emit = log_pe_by_symbol[obs]
+    delta = log_ps + emit[0]
+    back = np.zeros((len(obs), len(model.states)), dtype=np.intp)
+    for t in range(1, len(obs)):
+        scores = delta[:, None] + log_pt
+        scores.argmax(axis=0, out=back[t])
+        delta = scores.max(axis=0) + emit[t]
+    path = [int(np.argmax(delta))]
+    for t in range(len(obs) - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return path, float(np.max(delta))
+
+
+def distribution(k):
+    """A probability row of length k: small integer weights give exact zeros
+    (-inf in log-space) and exact ties, uniform rows tie everywhere."""
+    weights = st.one_of(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=k, max_size=k).filter(any),
+        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=k, max_size=k),
+        st.just([1.0] * k),
+    )
+    return weights.map(lambda w: np.array(w, dtype=float) / np.sum(w))
+
+
+model_with_zeros_and_ties = st.tuples(
+    st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=4)
+).flatmap(
+    lambda nm: st.tuples(
+        distribution(nm[0]),
+        st.lists(distribution(nm[0]), min_size=nm[0], max_size=nm[0]),
+        st.lists(distribution(nm[1] + 1), min_size=nm[0], max_size=nm[0]),
+    )
+).map(lambda raw: make_hmm(raw[0], raw[1], raw[2]))
+
+
 def obs_for(model, draw_len):
     symbols = list(model.emissions[:-1])
     return st.lists(st.sampled_from(symbols), min_size=1, max_size=draw_len)
@@ -417,6 +458,18 @@ class TestViterbi:
             p += math.log(model.pt[path[t - 1], path[t]])
             p += math.log(model.pe[path[t], enc[t]])
         assert p == pytest.approx(oracle_logp, rel=1e-9)
+
+    @given(
+        model_with_zeros_and_ties.flatmap(
+            lambda m: st.tuples(
+                st.just(m), st.lists(st.sampled_from(m.emissions + ("unseen",)), min_size=1, max_size=12)
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_two_reduction_reference_exactly(self, model_obs):
+        model, obs = model_obs
+        assert viterbi_decode(model, obs) == two_reduction_viterbi(model, obs)
 
     def test_tie_breaks_to_lowest_index(self):
         model = make_hmm(
