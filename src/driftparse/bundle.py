@@ -1,10 +1,14 @@
 """Versioned persistence for trained models.
 
-A bundle is one line of compact JSON with sorted keys and probabilities
-rendered as 17-significant-digit decimal strings, which makes saves
-byte-deterministic and load(save(x)) exact; ``driftparse inspect --json``
-pretty-prints it.  Every load re-checks the model invariants before the
-model can be used.  docs/bundle_schema.json describes the layout.
+A bundle is one line of compact JSON with sorted keys; ``driftparse inspect
+--json`` pretty-prints it.  ``ps`` and each row of ``pt`` and ``pe`` are
+stored as one row object: ``fill``, the row's most common value, plus
+``index`` and ``value``, the columns that differ from it in ascending order
+and their values.  A trained row is nearly all smoothing floor, so this
+keeps a bundle small and its save and load short.  Every probability is a
+17-significant-digit decimal string, which makes saves byte-deterministic
+and load(save(x)) exact.  Every load re-checks the model invariants before
+the model can be used.  docs/bundle_schema.json describes the layout.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .hmm import Hmm
 from .mining import MiningConfig
 from .parsing import ParsingPattern
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class BundleError(ValueError):
@@ -33,17 +37,27 @@ class ModelBundle:
     provenance: str
 
 
-def _decimal_strings(values: np.ndarray) -> list:
-    """``values`` as nested lists of ``format(float(x), ".17g")`` strings.
+def _decimal(x) -> str:
+    return format(float(x), ".17g")
 
-    A model repeats a few dozen probabilities across its whole ``pe``, so
-    each distinct bit pattern is formatted once and the lists are built by
-    lookup; keying on the bits keeps 0.0 and -0.0 apart.
+
+def _sparse_row(row: np.ndarray) -> dict:
+    """``row`` as its most common value plus the entries that differ from it.
+
+    Values are compared by their bits, which keeps 0.0 and -0.0 apart; a tie
+    for the most common goes to the lowest bit pattern, so saves stay
+    byte-deterministic.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    strings = np.array([format(float(x), ".17g") for x in bits.view(np.float64)], dtype=object)
-    return strings[inverse.reshape(values.shape)].tolist()
+    row = np.ascontiguousarray(row, dtype=np.float64)
+    bits = row.view(np.uint64)
+    patterns, first, counts = np.unique(bits, return_index=True, return_counts=True)
+    common = int(np.argmax(counts))
+    index = np.flatnonzero(bits != patterns[common])
+    return {
+        "fill": _decimal(row[first[common]]),
+        "index": index.tolist(),
+        "value": [_decimal(x) for x in row[index]],
+    }
 
 
 def bundle_to_document(bundle: ModelBundle) -> dict:
@@ -54,9 +68,9 @@ def bundle_to_document(bundle: ModelBundle) -> dict:
         "hmm": {
             "states": list(bundle.hmm.states),
             "emissions": list(bundle.hmm.emissions),
-            "ps": _decimal_strings(bundle.hmm.ps),
-            "pt": _decimal_strings(bundle.hmm.pt),
-            "pe": _decimal_strings(bundle.hmm.pe),
+            "ps": _sparse_row(bundle.hmm.ps),
+            "pt": [_sparse_row(row) for row in bundle.hmm.pt],
+            "pe": [_sparse_row(row) for row in bundle.hmm.pe],
         },
         "pattern": {
             "required_tokens": sorted(bundle.pattern.required_tokens),
@@ -93,33 +107,39 @@ def _str_list(node: dict, key: str, path: str) -> list:
     return values
 
 
-def _float_vector(values, path: str) -> np.ndarray:
-    if not isinstance(values, list):
-        raise BundleError(f"expected array at {path}")
+def _float_row(node, path: str, width: int) -> np.ndarray:
+    """The ``width`` probabilities of one row object (see ``_sparse_row``)."""
+    if not isinstance(node, dict):
+        raise BundleError(f"bad type at {path}")
+    fill = _get(node, "fill", object, path)
+    index = _get(node, "index", list, path)
+    value = _get(node, "value", list, path)
+    if len(index) != len(value):
+        raise BundleError(f"index and value lengths differ in {path}")
+    if not all(type(j) is int for j in index):
+        raise BundleError(f"bad index in {path}")
+    increasing = all(a < b for a, b in zip(index, index[1:]))
+    if index and not (increasing and 0 <= index[0] and index[-1] < width):
+        raise BundleError(f"index out of range or not increasing in {path}")
+    # the schema stores every probability as a string, so a JSON number or
+    # boolean is refused, not passed through float()
+    if type(fill) is not str or not all(type(x) is str for x in value):
+        raise BundleError(f"bad number in {path}")
     try:
-        # a model row repeats a few distinct values (pe: 36 among 92k entries
-        # at 2,300 symbols), so each is checked and parsed once and looked up
-        # after; the schema stores every probability as a string, so a JSON
-        # number or boolean is refused, not passed through float()
-        distinct = set(values)
-        if not all(type(x) is str for x in distinct):
-            raise TypeError
-        parsed = {x: float(x) for x in distinct}
-    except (TypeError, ValueError, OverflowError):
+        row = np.full(width, float(fill))
+        row[index] = [float(x) for x in value]
+    except ValueError:
         raise BundleError(f"bad number in {path}") from None
-    return np.array([parsed[x] for x in values], dtype=float)
+    return row
 
 
 def _float_matrix(values, path: str, width: int) -> np.ndarray:
     if not isinstance(values, list):
         raise BundleError(f"expected array at {path}")
-    rows = []
+    matrix = np.empty((len(values), width))
     for i, row in enumerate(values):
-        vec = _float_vector(row, f"{path}[{i}]")
-        if len(vec) != width:
-            raise BundleError(f"bad row length at {path}[{i}]")
-        rows.append(vec)
-    return np.array(rows, dtype=float)
+        matrix[i] = _float_row(row, f"{path}[{i}]", width)
+    return matrix
 
 
 def document_to_bundle(doc: dict) -> ModelBundle:
@@ -138,7 +158,7 @@ def document_to_bundle(doc: dict) -> ModelBundle:
     hm = _get(doc, "hmm", dict, "$")
     states = tuple(_str_list(hm, "states", "$.hmm"))
     emissions = tuple(_str_list(hm, "emissions", "$.hmm"))
-    ps = _float_vector(_get(hm, "ps", list, "$.hmm"), "$.hmm.ps")
+    ps = _float_row(_get(hm, "ps", dict, "$.hmm"), "$.hmm.ps", len(states))
     pt = _float_matrix(_get(hm, "pt", list, "$.hmm"), "$.hmm.pt", len(states))
     pe = _float_matrix(_get(hm, "pe", list, "$.hmm"), "$.hmm.pe", len(emissions))
     model = Hmm(states, emissions, ps, pt, pe)

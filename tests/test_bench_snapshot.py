@@ -39,3 +39,19 @@ def test_keeps_each_runs_conditions_and_final_result():
 def test_malformed_output_refused(output):
     with pytest.raises(ValueError):
         bench_snapshot.assemble({"train-large": output})
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"correct": true', '"correct": false'),
+        ('"failed": 0', '"failed": 2'),
+        ('"metrics": {', '"metrics": {"trace.missing": {"unit": "count", "value": 1}, '),
+    ],
+    ids=["incorrect", "failed-operations", "untraced-calls"],
+)
+def test_failed_run_refused(old, new):
+    assert old in TRAIN_OUTPUT
+    with pytest.raises(ValueError, match="did not pass"):
+        bench_snapshot.assemble({"train-large": TRAIN_OUTPUT.replace(old, new)})
+

@@ -1,5 +1,7 @@
+import bisect
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,13 +16,34 @@ from driftparse.bundle import (
     load_bundle,
     save_bundle,
 )
+from driftparse.corpus import GeneratorConfig, generate_corpus
 from driftparse.hmm import Hmm
 from driftparse.mining import MiningConfig
 from driftparse.parsing import ParsingPattern
+from driftparse.pipeline import train
 
 
 def doc_of(bundle):
     return json.loads(json.dumps(bundle_to_document(bundle)))
+
+
+def set_entry(row, column, text):
+    """Store ``text`` for ``column`` of a row object as a listed entry."""
+    index, value = row["index"], row["value"]
+    if column in index:
+        value[index.index(column)] = text
+    else:
+        at = bisect.bisect(index, column)
+        index.insert(at, column)
+        value.insert(at, text)
+
+
+def expand(row, width):
+    """The per-entry strings a row object stands for."""
+    strings = [row["fill"]] * width
+    for j, text in zip(row["index"], row["value"]):
+        strings[j] = text
+    return strings
 
 
 class TestRoundTrip:
@@ -60,8 +83,8 @@ class TestRoundTrip:
         assert text.count("\n") == 1 and text.endswith("\n")
         assert json.loads(text) == doc_of(bundle_a)
 
-    def test_indented_v3_file_still_loads(self, tmp_path, bundle_a):
-        # the layout written before saves became one compact line
+    def test_indented_v4_file_still_loads(self, tmp_path, bundle_a):
+        # the indented view `driftparse inspect --json` prints loads like the compact file
         indented, compact = tmp_path / "indented.json", tmp_path / "compact.json"
         indented.write_text(json.dumps(bundle_to_document(bundle_a), indent=2, sort_keys=True) + "\n")
         restored = load_bundle(indented)
@@ -103,14 +126,61 @@ def models(draw):
     return Hmm(states, emissions, array(n), array(n, n), array(n, m))
 
 
+def hmm_document(model):
+    pattern = ParsingPattern(frozenset({"s0"}), "s0", "ctdi", ("s0",))
+    return bundle_to_document(ModelBundle(model, pattern, MiningConfig(threshold=1), "test"))["hmm"]
+
+
+def rows_of(doc, model):
+    """(row object, model row) for ``ps`` and every row of ``pt`` and ``pe``."""
+    yield doc["ps"], model.ps
+    for name in ("pt", "pe"):
+        yield from zip(doc[name], getattr(model, name))
+
+
 class TestWriterOracle:
     @settings(max_examples=100, deadline=None)
     @given(models())
     def test_strings_equal_per_entry_format(self, model):
-        pattern = ParsingPattern(frozenset({"s0"}), "s0", "ctdi", ("s0",))
-        doc = bundle_to_document(ModelBundle(model, pattern, MiningConfig(threshold=1), "test"))
-        for name in ("ps", "pt", "pe"):
-            assert doc["hmm"][name] == reference_strings(getattr(model, name))
+        doc = hmm_document(model)
+        assert expand(doc["ps"], len(model.ps)) == reference_strings(model.ps)
+        for name in ("pt", "pe"):
+            matrix = getattr(model, name)
+            assert [expand(row, matrix.shape[1]) for row in doc[name]] == reference_strings(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(models())
+    def test_fill_is_the_most_common_bits_and_only_the_rest_is_listed(self, model):
+        for row, values in rows_of(hmm_document(model), model):
+            bits = values.view(np.uint64).tolist()
+            counts = Counter(bits)
+            top = max(counts.values())
+            fill_bits = min(b for b, c in counts.items() if c == top)
+            fill = values[bits.index(fill_bits)]
+            assert row["fill"] == format(float(fill), ".17g")
+            assert row["index"] == [j for j, b in enumerate(bits) if b != fill_bits]
+            assert row["value"] == [format(float(values[j]), ".17g") for j in row["index"]]
+
+    def test_tie_goes_to_the_lowest_bit_pattern(self):
+        # three values twice each: 0.0 has the lowest bits, -0.0 the sign bit set
+        ps = np.array([-0.0, 0.5, 0.0, 0.5, -0.0, 0.0])
+        states = tuple(f"s{i}" for i in range(len(ps)))
+        model = Hmm(states, ("<oov>",), ps, np.eye(len(ps)), np.ones((len(ps), 1)))
+        doc = hmm_document(model)
+        assert doc["ps"] == {"fill": "0", "index": [0, 1, 3, 4], "value": ["-0", "0.5", "0.5", "-0"]}
+        assert doc["pe"][0] == {"fill": "1", "index": [], "value": []}
+
+
+class TestSparseRows:
+    def test_training_bundle_lists_only_entries_off_the_fill(self):
+        # about 600 scan events, the size of the benchmark's parse-files bundle;
+        # a writer gone back to dense rows would list every entry
+        records, truth = generate_corpus(GeneratorConfig(seed=0, n_events=1333, kpi_line_fraction=0.45))
+        bundle = train(records, truth)
+        pe = bundle.hmm.pe
+        off_fill = sum(len(row) - Counter(row.view(np.uint64).tolist()).most_common(1)[0][1] for row in pe)
+        listed = sum(len(row["value"]) for row in doc_of(bundle)["hmm"]["pe"])
+        assert listed <= off_fill < pe.size // 10
 
 
 class TestValidation:
@@ -134,11 +204,21 @@ class TestValidation:
 
     def test_v2_document_rejected(self, bundle_a):
         doc = doc_of(bundle_a)
-        assert doc["format_version"] == FORMAT_VERSION == 3
+        assert doc["format_version"] == FORMAT_VERSION == 4
         assert doc["mining_config"] == {"threshold": bundle_a.mining_config.threshold}
         doc["format_version"] = 2
         doc["mining_config"]["expected_kpi_count"] = 1
         with pytest.raises(BundleError, match="format_version 2"):
+            document_to_bundle(doc)
+
+    def test_v3_document_rejected(self, bundle_a):
+        # format 3 stored every probability of a row as its own string
+        doc = doc_of(bundle_a)
+        doc["format_version"] = 3
+        doc["hmm"]["ps"] = reference_strings(bundle_a.hmm.ps)
+        doc["hmm"]["pt"] = reference_strings(bundle_a.hmm.pt)
+        doc["hmm"]["pe"] = reference_strings(bundle_a.hmm.pe)
+        with pytest.raises(BundleError, match="unsupported format_version 3, expected 4"):
             document_to_bundle(doc)
 
     def test_missing_field_names_path(self, bundle_a):
@@ -149,40 +229,44 @@ class TestValidation:
 
     def test_bad_number_names_path(self, bundle_a):
         doc = doc_of(bundle_a)
-        doc["hmm"]["ps"][0] = "not-a-number"
+        set_entry(doc["hmm"]["ps"], 0, "not-a-number")
         with pytest.raises(BundleError, match=r"\$\.hmm\.ps"):
             document_to_bundle(doc)
 
     @pytest.mark.parametrize("value", [[0.5], 10**400], ids=["list", "huge-int"])
     def test_unparsable_entry_names_path(self, bundle_a, value):
         doc = doc_of(bundle_a)
-        doc["hmm"]["pe"][1][0] = value
+        set_entry(doc["hmm"]["pe"][1], 0, value)
         with pytest.raises(BundleError, match=r"bad number in \$\.hmm\.pe\[1\]"):
             document_to_bundle(doc)
 
     def test_boolean_probabilities_rejected(self, bundle_a):
         # true, false, ... would load as the valid start distribution (1, 0, ...)
         doc = doc_of(bundle_a)
-        doc["hmm"]["ps"] = [True] + [False] * (len(doc["hmm"]["ps"]) - 1)
+        doc["hmm"]["ps"] = {"fill": False, "index": [0], "value": [True]}
         with pytest.raises(BundleError, match=r"bad number in \$\.hmm\.ps"):
             document_to_bundle(doc)
 
     def test_json_number_probabilities_rejected(self, bundle_a):
         # the same values as JSON numbers would load unchanged
         doc = doc_of(bundle_a)
-        doc["hmm"]["pe"][1] = [float(x) for x in doc["hmm"]["pe"][1]]
+        row = doc["hmm"]["pe"][1]
+        row["fill"] = float(row["fill"])
+        row["value"] = [float(x) for x in row["value"]]
         with pytest.raises(BundleError, match=r"bad number in \$\.hmm\.pe\[1\]"):
             document_to_bundle(doc)
 
     def test_ragged_matrix_names_row(self, bundle_a):
+        # a row object has no length of its own: an entry listed past the last
+        # column stands for a row of the wrong length
         doc = doc_of(bundle_a)
-        doc["hmm"]["pt"][2] = doc["hmm"]["pt"][2][:-1]
+        set_entry(doc["hmm"]["pt"][2], len(bundle_a.hmm.states), "0")
         with pytest.raises(BundleError, match=r"\$\.hmm\.pt\[2\]"):
             document_to_bundle(doc)
 
     def test_broken_row_sum_rejected(self, bundle_a):
         doc = doc_of(bundle_a)
-        doc["hmm"]["pe"][0][0] = "0.9999"
+        set_entry(doc["hmm"]["pe"][0], 0, "0.9999")
         with pytest.raises(BundleError, match="invalid model"):
             document_to_bundle(doc)
 
@@ -190,11 +274,49 @@ class TestValidation:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_probability_rejected(self, bundle_a, matrix, value):
         doc = doc_of(bundle_a)
-        if matrix == "ps":
-            doc["hmm"]["ps"][0] = value
-        else:
-            doc["hmm"][matrix][0][0] = value
+        row = doc["hmm"]["ps"] if matrix == "ps" else doc["hmm"][matrix][0]
+        set_entry(row, 0, value)
         with pytest.raises(BundleError, match="finite"):
+            document_to_bundle(doc)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fill_rejected(self, bundle_a, value):
+        doc = doc_of(bundle_a)
+        doc["hmm"]["pe"][1]["fill"] = value
+        with pytest.raises(BundleError, match="finite"):
+            document_to_bundle(doc)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"fill": 0.001}, "bad number"),
+            ({"fill": None}, "bad number"),
+            ({"value": [0.5, "0.25"]}, "bad number"),
+            ({"index": [1.0, 3]}, "bad index"),
+            ({"index": [True, 3]}, "bad index"),
+            ({"index": [-1, 3]}, "index out of range or not increasing"),
+            ({"index": [1, 10**400]}, "index out of range or not increasing"),
+            ({"index": [3, 3]}, "index out of range or not increasing"),
+            ({"index": [3, 1]}, "index out of range or not increasing"),
+            ({"value": ["0.5", "0.25", "0"]}, "lengths differ"),
+            ({"index": [1, 3, 5]}, "lengths differ"),
+        ],
+        ids=[
+            "fill-number", "fill-null", "value-number", "index-float", "index-bool", "index-negative",
+            "index-past-width", "index-repeated", "index-decreasing", "value-longer", "index-longer",
+        ],
+    )
+    def test_bad_row_object_names_row(self, bundle_a, fields, message):
+        doc = doc_of(bundle_a)
+        row = doc["hmm"]["pe"][1]
+        row.update({"index": [1, 3], "value": ["0.5", "0.25"]}, **fields)
+        with pytest.raises(BundleError, match=rf"{message} in \$\.hmm\.pe\[1\]$"):
+            document_to_bundle(doc)
+
+    def test_dense_row_rejected(self, bundle_a):
+        doc = doc_of(bundle_a)
+        doc["hmm"]["pt"][0] = reference_strings(bundle_a.hmm.pt[0])
+        with pytest.raises(BundleError, match=r"bad type at \$\.hmm\.pt\[0\]"):
             document_to_bundle(doc)
 
     @pytest.mark.parametrize(

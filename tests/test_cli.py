@@ -289,7 +289,7 @@ class TestInspect:
     @pytest.mark.parametrize(
         "where, value, message",
         [
-            (("hmm", "pe", 0, 0), "nan", "finite"),
+            (("hmm", "pe", 0, "fill"), "nan", "finite"),
             (("hmm", "emissions", 0), ["x"], r"\$\.hmm\.emissions\[0\]"),
             (("hmm", "emissions", -1), "zzz", "<oov>"),
         ],

@@ -8,8 +8,9 @@ For each workload named in BENCHMARK.json, one after another, it runs
 
 and keeps the run's `conditions` line and its final JSON line. It then writes
 BENCH_<N>.json at the repository root, mapping each workload to those two.
-A run that fails, or prints either line malformed, stops it before anything
-is written.
+A run that exits non-zero, prints either line malformed, or whose result
+says `"correct": false`, `failed` > 0 or `trace.missing` > 0 stops it before
+anything is written.
 """
 
 from __future__ import annotations
@@ -32,9 +33,15 @@ def entry(output: str) -> dict:
         raise ValueError(f"expected one conditions line, found {len(conditions)}")
     if not lines[-1].startswith("{"):
         raise ValueError("the last line is not the run's JSON result")
+    result = json.loads(lines[-1])
+    # run.py exits 0 after failed checks, so the result itself must say it passed
+    missing = result["metrics"].get("trace.missing", {}).get("value", 0)
+    if result["correct"] is not True or result["failed"] or missing:
+        raise ValueError(f"the run did not pass: correct {result['correct']}, failed {result['failed']}, "
+                         f"trace.missing {missing}")
     return {
         "conditions": json.loads(conditions[0].removeprefix("conditions ")),
-        "result": json.loads(lines[-1]),
+        "result": result,
     }
 
 
