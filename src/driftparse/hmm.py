@@ -5,7 +5,10 @@ which training, parsing and adaptation read a line: every state occurrence
 that does not end the line pairs with the token after it.  The emission
 rule is not yet that rule: the model's alphabet leaves out a state token
 that follows a state, while the observations keep it, so such an
-observation encodes as <oov>.
+observation encodes as <oov>.  build_hmm takes the start and transition
+counts of each distinct state run (a line's state tokens in order) once,
+weighted by the number of lines that share it: matching lines repeat a
+handful of runs.
 
 The forward-backward pass works in probability space with the forward
 variables rescaled to sum to 1 at every step (Rabiner 1989, section V.A),
@@ -29,9 +32,10 @@ contain unseen values by construction, so a hard failure would be wrong.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress, pairwise
 
 import numpy as np
@@ -172,10 +176,11 @@ def state_usage(states, corpus: list[TokenSequence]) -> dict[str, int]:
 def build_hmm(matching_lines: list[TokenSequence], cluster: PatternCluster) -> Hmm:
     """Construct the model from lines that all carry the cluster tokens.
 
-    Start probabilities follow state_usage; transitions are bigrams over the
-    line's state-token subsequence (non-state tokens are skipped); emissions
-    are the state_followers pairs whose follower is not a state token.
-    Counts are smoothed by SMOOTHING_EPSILON and row-normalized.
+    Start counts are each state token's occurrences across the lines (its
+    state_usage); transitions are bigrams over the line's state-token
+    subsequence, its state run (non-state tokens are skipped); emissions are
+    the state_followers pairs whose follower is not a state token.  Counts
+    are smoothed by SMOOTHING_EPSILON and row-normalized.
     """
     if not matching_lines:
         raise ValueError("matching_lines must be non-empty")
@@ -185,21 +190,28 @@ def build_hmm(matching_lines: list[TokenSequence], cluster: PatternCluster) -> H
     state_set = frozenset(states)
     sidx = {s: i for i, s in enumerate(states)}
 
-    usage = state_usage(states, matching_lines)
-    start_counts = np.array([usage[s] for s in states], dtype=float)
-    trans_counts = np.zeros((len(states), len(states)))
+    runs: Counter[tuple[str, ...]] = Counter()
     pair_counts: Counter[tuple[str, str]] = Counter()
     for line in matching_lines:
-        state_seq = [t for t in line.tokens if t in state_set]
-        for a, b in pairwise(state_seq):
-            trans_counts[sidx[a], sidx[b]] += 1
-        # A follower that is itself a state token is left out of the
-        # alphabet, though the observations keep it.  Counting it too
-        # (ROADMAP item 2) moves the alphabet and refit iteration counts that
-        # perfbench/golden.json pins, so it waits for re-recorded goldens.
-        pair_counts.update(
-            (a, e) for a, e in state_followers(line.tokens, state_set) if e not in state_set
-        )
+        tokens = line.tokens
+        is_state = list(map(state_set.__contains__, tokens))
+        runs[tuple(compress(tokens, is_state))] += 1
+        # a state followed by a non-state: the state_followers pairs whose
+        # follower is not a state.  A follower that is itself a state token
+        # is left out of the alphabet, though the observations keep it.
+        # Counting it too (ROADMAP item 1) moves the alphabet and refit
+        # iteration counts that perfbench/golden.json pins, so it waits for
+        # re-recorded goldens.
+        pair_counts.update(compress(pairwise(tokens), map(operator.gt, is_state, is_state[1:])))
+
+    # each distinct run once, weighted by its lines; integer sums, so exact
+    start_counts = np.zeros(len(states))
+    trans_counts = np.zeros((len(states), len(states)))
+    for run, n in runs.items():
+        for s in run:
+            start_counts[sidx[s]] += n
+        for a, b in pairwise(run):
+            trans_counts[sidx[a], sidx[b]] += n
 
     alphabet = tuple(sorted({e for _, e in pair_counts})) + (OOV_TOKEN,)
     eidx = {e: k for k, e in enumerate(alphabet)}
@@ -399,9 +411,11 @@ def find_trigger_state(states, lines: list[TokenSequence]) -> str:
     Ties break lexicographically on the state token.
     """
     state_set = frozenset(states)
+    # a call sees few distinct followers; the cache goes when the call returns
+    numeric = cache(is_number)
     counts = {s: 0 for s in states}
     for line in lines:
-        for s in {a for a, b in state_followers(line.tokens, state_set) if is_number(b)}:
+        for s in {a for a, b in state_followers(line.tokens, state_set) if numeric(b)}:
             counts[s] += 1
     best = max(counts.values())
     if best == 0:

@@ -4,7 +4,9 @@ The CT log dialect wraps keys in ``@...@`` and values in ``#...#``, with
 ``=`` joining them and ``,`` separating fields.  Those five characters plus
 whitespace are the structural delimiters; ``.`` and ``-`` are *not*, so
 dotted identifiers ("1.3.12.2.1107") and hyphenated values ("cr-ca")
-survive as single tokens.
+survive as single tokens.  Whitespace is every code point that
+``str.split()`` splits on, the same code points that the
+regular-expression whitespace class matches.
 
 All numeric tokens are canonicalized to exactly two fraction digits so that
 values parsed from event text line up with values in reference tables
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from functools import lru_cache
 
-_DELIMITERS = re.compile(r"[&@=#,\s]+")
+# maps each non-whitespace delimiter to a space, so str.split() splits on all of them
+_DELIMITERS_TO_SPACE = str.maketrans("&@=#,", "     ")
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?$")
 _CANONICAL_NUMBER = re.compile(r"-?\d+\.\d{2}$")
 
@@ -29,8 +32,8 @@ _SUFFIXES = ("ion", "ing", "al", "ed", "es", "e", "s")
 _MIN_STEM = 3
 
 # A log repeats few distinct tokens many times (3,783 distinct among 43,818
-# in a 1,500-event log), so the per-token transform is memoised up to this
-# many distinct tokens.
+# in a 1,500-event log), so the per-fragment transform is memoised up to this
+# many distinct fragments.
 _TOKEN_CACHE_SIZE = 1 << 16
 
 # The one stopword list: a bundle does not record one, so training, parsing
@@ -68,12 +71,17 @@ class TokenSequence:
         return frozenset(self.tokens)
 
 
+def _fragments(text: str) -> list[str]:
+    """The non-empty runs of text between structural delimiters, case kept."""
+    return text.translate(_DELIMITERS_TO_SPACE).split()
+
+
 def tokenize(text: str) -> list[str]:
     """Split raw event text on structural delimiters and lowercase.
 
     Empty fragments are dropped; '.' and '-' stay inside tokens.
     """
-    return [frag.lower() for frag in _DELIMITERS.split(text) if frag]
+    return [frag.lower() for frag in _fragments(text)]
 
 
 def is_number(token: str) -> bool:
@@ -121,16 +129,28 @@ def stem(word: str) -> str:
 
 
 @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
-def _normalize_token(token: str) -> str:
-    """Canonicalize a number, stem anything else."""
+def _normalize_fragment(fragment: str) -> str | None:
+    """Lowercase a fragment; None for a stopword, else canonicalize a number or stem a word."""
+    token = fragment.lower()
+    if token in DEFAULT_STOPWORDS:
+        return None
     return normalize_number(token) if is_number(token) else stem(token)
 
 
 def preprocess_tokens(raw_tokens: list[str]) -> list[str]:
-    """Drop stopwords, stem words, canonicalize numbers; order preserved."""
-    return [_normalize_token(token) for token in raw_tokens if token not in DEFAULT_STOPWORDS]
+    """Drop stopwords, stem words, canonicalize numbers; order preserved.
+
+    The tokens are tokenize() output, already lowercase; lowercasing them
+    again inside the shared per-fragment cache changes nothing.
+    """
+    return [token for token in map(_normalize_fragment, raw_tokens) if token is not None]
 
 
 def preprocess_event(event: EventRecord) -> TokenSequence:
-    """Turn a raw event into its normalized token sequence."""
-    return TokenSequence(event.event_id, tuple(preprocess_tokens(tokenize(event.text))))
+    """Turn a raw event into its normalized token sequence.
+
+    Equal to preprocess_tokens(tokenize(event.text)), with one cached
+    lookup per fragment: the fragment is lowercased inside the cache.
+    """
+    normalized = map(_normalize_fragment, _fragments(event.text))
+    return TokenSequence(event.event_id, tuple(token for token in normalized if token is not None))

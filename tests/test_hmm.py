@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from driftparse.hmm import (
     Hmm,
     TriggerNotFoundError,
     _expected_counts,
+    _smooth_rows,
     baum_welch_fit,
     build_hmm,
     extend_alphabet,
@@ -26,11 +28,12 @@ from driftparse.hmm import (
     observation_sequences,
     sequence_loglikelihood,
     state_followers,
+    state_usage,
     viterbi_decode,
 )
 from driftparse.mining import PatternCluster
 from driftparse.pipeline import preprocess_corpus
-from driftparse.preprocess import TokenSequence
+from driftparse.preprocess import TokenSequence, is_number
 
 
 def make_hmm(ps, pt, pe, states=None, emissions=None):
@@ -547,6 +550,98 @@ class TestBuildHmm:
             build_hmm([], PatternCluster(frozenset({"a"}), 1))
         with pytest.raises(ValueError):
             build_hmm(self.lines(["a"]), PatternCluster(frozenset(), 0))
+
+
+def reference_build_hmm(matching_lines, cluster):
+    """build_hmm as a walk of every line, one numpy increment per transition."""
+    states = tuple(sorted(cluster.tokens))
+    state_set = frozenset(states)
+    sidx = {s: i for i, s in enumerate(states)}
+    usage = state_usage(states, matching_lines)
+    start_counts = np.array([usage[s] for s in states], dtype=float)
+    trans_counts = np.zeros((len(states), len(states)))
+    pair_counts = Counter()
+    for line in matching_lines:
+        state_seq = [t for t in line.tokens if t in state_set]
+        for a, b in itertools.pairwise(state_seq):
+            trans_counts[sidx[a], sidx[b]] += 1
+        pair_counts.update(
+            (a, e) for a, e in state_followers(line.tokens, state_set) if e not in state_set
+        )
+    alphabet = tuple(sorted({e for _, e in pair_counts})) + (OOV_TOKEN,)
+    eidx = {e: k for k, e in enumerate(alphabet)}
+    emit_counts = np.zeros((len(states), len(alphabet)))
+    for (a, e), n in pair_counts.items():
+        emit_counts[sidx[a], eidx[e]] = n
+    ps, pt, pe = (_smooth_rows(c) for c in (start_counts, trans_counts, emit_counts))
+    return Hmm(states, alphabet, ps, pt, pe)
+
+
+def reference_trigger_state(states, lines):
+    """find_trigger_state with an uncached numeric test of every follower."""
+    state_set = frozenset(states)
+    counts = {s: 0 for s in states}
+    for line in lines:
+        for s in {a for a, b in state_followers(line.tokens, state_set) if is_number(b)}:
+            counts[s] += 1
+    best = max(counts.values())
+    if best == 0:
+        raise TriggerNotFoundError("no state is followed by a numeric emission")
+    return min(s for s, n in counts.items() if n == best)
+
+
+# states include a number; lines put a state after a state, a state last,
+# and a numeric state after a state; followers include a negative number and
+# a dotted identifier, which is not a number
+ORACLE_STATES = ("a", "b", "1.00")
+ORACLE_CORPORA = st.lists(
+    st.lists(st.sampled_from(ORACLE_STATES + ("x", "2.00", "-5", "1.2.3", "0.60")), min_size=1, max_size=10),
+    min_size=1,
+    max_size=25,
+).map(lambda lines: [TokenSequence(f"e{i}", tuple(t)) for i, t in enumerate(lines)])
+
+
+def assert_same_model(model, reference):
+    assert model.states == reference.states
+    assert model.emissions == reference.emissions
+    for name in ("ps", "pt", "pe"):
+        assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+
+
+def trigger_or_error(states, lines, trigger):
+    try:
+        return trigger(states, lines)
+    except TriggerNotFoundError:
+        return TriggerNotFoundError
+
+
+class TestTrainingOracles:
+    """build_hmm and find_trigger_state equal their per-line references exactly."""
+
+    @given(ORACLE_CORPORA, st.sets(st.sampled_from(ORACLE_STATES), min_size=1))
+    def test_build_hmm_equals_reference(self, corpus, states):
+        cluster = PatternCluster(frozenset(states), len(corpus))
+        assert_same_model(build_hmm(corpus, cluster), reference_build_hmm(corpus, cluster))
+
+    @given(ORACLE_CORPORA, st.sets(st.sampled_from(ORACLE_STATES), min_size=1))
+    def test_trigger_equals_reference(self, corpus, states):
+        found = trigger_or_error(states, corpus, find_trigger_state)
+        assert found == trigger_or_error(states, corpus, reference_trigger_state)
+
+    def test_numeric_state_after_a_state(self):
+        corpus = [TokenSequence("e0", ("a", "1.00", "x")), TokenSequence("e1", ("b", "1.00", "2.00"))]
+        states = ("a", "b", "1.00")
+        assert find_trigger_state(states, corpus) == reference_trigger_state(states, corpus) == "1.00"
+        cluster = PatternCluster(frozenset(states), 2)
+        assert_same_model(build_hmm(corpus, cluster), reference_build_hmm(corpus, cluster))
+
+    def test_trained_corpus_with_numeric_states(self, bundle_a, lines_a):
+        states = bundle_a.hmm.states
+        assert {"0.60", "1.00", "60.00"} <= set(states)
+        matching = [line for line in lines_a if set(states) <= line.token_set()]
+        cluster = PatternCluster(frozenset(states), len(matching))
+        assert_same_model(build_hmm(matching, cluster), reference_build_hmm(matching, cluster))
+        assert find_trigger_state(states, matching) == reference_trigger_state(states, matching)
 
 
 class TestBaumWelch:

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +18,25 @@ from driftparse.preprocess import (
 
 from .golden_event import EXPECTED_TOKENS, RAW_EVENT
 
+# every code point the regex class \s matches: the ASCII ones, \x1c-\x1f,
+# \x85, \xa0, \u1680, \u2000-\u200a, \u2028, \u2029, \u202f, \u205f, \u3000
+WHITESPACE = "".join(re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1)))))
+
+# delimiters, whitespace, the in-token punctuation, digits, and letters whose
+# lowercase is longer (İ) or depends on context (final Σ)
+TOKENIZER_TEXT = st.text(
+    alphabet=st.sampled_from("&@=#," + WHITESPACE + ".-" + "0123456789" + "aeAEZΣσİ"),
+    max_size=40,
+) | st.lists(
+    st.sampled_from(["@CTDI@", "=", "#16.660#", " ", "\u3000", "\x85", "ΟΔΟΣ", "İD", ",", "the", "The"]),
+    max_size=12,
+).map("".join)
+
+
+def reference_tokenize(text):
+    """The regex split the tokenizer replaced."""
+    return [f.lower() for f in re.split(r"[&@=#,\s]+", text) if f]
+
 
 class TestTokenize:
     def test_key_value_pair(self):
@@ -31,6 +53,13 @@ class TestTokenize:
 
     def test_lowercases_and_drops_empty_fragments(self):
         assert tokenize("&Load scan protocol&,,@@") == ["load", "scan", "protocol"]
+
+    def test_whitespace_is_what_the_regex_class_matches(self):
+        assert tokenize("a" + "a".join(WHITESPACE) + "a") == ["a"] * 30
+
+    @given(TOKENIZER_TEXT)
+    def test_equals_regex_split(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestStem:
@@ -143,3 +172,9 @@ class TestPreprocessEvent:
     def test_deterministic(self):
         event = EventRecord("e1", "t", "x", RAW_EVENT)
         assert preprocess_event(event) == preprocess_event(event)
+
+    @given(TOKENIZER_TEXT)
+    def test_equals_preprocess_tokens_over_regex_split(self, text):
+        event = EventRecord("e1", "t", "x", text)
+        assert list(preprocess_event(event).tokens) == preprocess_tokens(reference_tokenize(text))
+        assert preprocess_tokens(reference_tokenize(text)) == uncached_preprocess(reference_tokenize(text))
