@@ -105,11 +105,12 @@ def adapt_viterbi(
     DEFAULT_COVERAGE_FRACTION of the pattern's states, otherwise unrelated lines
     that merely share a token or two would dilute every consensus.
 
-    A decoded path depends only on the line's encoding, so each distinct
-    encoding is decoded once and its path reused for every voting line that
-    encodes the same way; on a drifted log most unseen values encode as
-    <oov>, and 599 voting lines hold about 200 distinct encodings.  Each
-    line still votes with its own raw tokens, never with their encoding.
+    A decoded path depends only on the line's encoding, so each voting line
+    is encoded once and the distinct encodings go to one viterbi_decode
+    call, which decodes them in batches of equal length; on a drifted log
+    most unseen values encode as <oov>, and 599 voting lines hold about 200
+    distinct encodings.  Each line still votes with its own raw tokens,
+    never with their encoding.
 
     On the corpora the tests check (acceptance 4's drifted log and generated
     system_b logs of seeds 0-9), the adapted pattern does not depend on the
@@ -125,20 +126,24 @@ def adapt_viterbi(
     state_set = frozenset(model.states)
     min_states = DEFAULT_COVERAGE_FRACTION * len(state_set)
     sequences = observation_sequences(model.states, new_corpus)
-    voting = 0
-    paths: dict[bytes, list[int]] = {}
-    pair_line_counts: Counter[tuple[str, int]] = Counter()
+    # each distinct encoding under its bytes, and each voting line's tokens with that key
+    encodings = {}
+    voters: list[tuple[list[str], bytes]] = []
     for line, obs in zip(new_corpus, sequences):
         if not obs or len(line.token_set() & state_set) < min_states:
             continue
-        key = model.encode(obs).tobytes()
-        path = paths.get(key)
-        if path is None:
-            path = paths[key] = viterbi_decode(model, obs)[0]
-        voting += 1
-        pair_line_counts.update(set(zip(obs, path)))
+        encoded = model.encode(obs)
+        key = encoded.tobytes()
+        encodings.setdefault(key, encoded)
+        voters.append((obs, key))
+    voting = len(voters)
     if voting == 0:
         raise ValueError("no decodable lines in new corpus")
+    decoded = viterbi_decode(model, list(encodings.values()))
+    paths = {key: path for key, (path, _) in zip(encodings, decoded)}
+    pair_line_counts: Counter[tuple[str, int]] = Counter()
+    for obs, key in voters:
+        pair_line_counts.update(set(zip(obs, paths[key])))
     shares: dict[str, float] = {}
     for (token, _), count in pair_line_counts.items():
         share = count / voting

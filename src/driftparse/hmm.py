@@ -15,15 +15,17 @@ variables rescaled to sum to 1 at every step (Rabiner 1989, section V.A),
 and Viterbi decoding is max-plus in log-space, so that sequences of
 thousands of symbols never underflow.
 
-The forward-backward pass runs over a batch of equal-length sequences at
-once: the Baum-Welch E-step groups its sequences by length and stacks each
-group in batches of at most _BATCH_SEQUENCES, so a step costs a few numpy
-calls per batch rather than per sequence, and the batch arrays stay small
-however large the corpus.  Viterbi decodes one sequence per call, in
-log-space, so the oracle tests check the very code adaptation runs; a step
-fills one (N, N) score buffer and takes one argmax.  Its path depends only
-on the encoded sequence, so adapt_viterbi decodes each distinct encoding
-once and reuses the path for every line that encodes the same way.
+Both passes run over batches of equal-length sequences: _length_batches
+groups the sequences by length and stacks each group in batches of a
+bounded size, so a step costs a few numpy calls per batch rather than per
+sequence, and the batch arrays stay small however large the corpus.  The
+Baum-Welch E-step stacks at most _BATCH_SEQUENCES per batch and
+viterbi_decode at most _DECODE_BATCH.  viterbi_decode is the one Viterbi
+path: a single sequence is a batch of one, so the oracle tests check the
+very code adaptation runs.  A decode step fills one (B, N, N) score buffer
+and takes one argmax.  A path depends only on the encoded sequence, so
+adapt_viterbi decodes each distinct encoding once and reuses the path for
+every line that encodes the same way.
 
 Unknown symbols at inference time map to a reserved out-of-vocabulary
 emission column that carries only smoothing-floor mass; drifted logs
@@ -52,6 +54,10 @@ _ROW_SUM_ATOL = 1e-9
 
 # most sequences one E-step batch stacks: bounds its (T, B, N) arrays
 _BATCH_SEQUENCES = 256
+
+# most sequences one Viterbi batch stacks: bounds its (B, N, N) score
+# buffer and (T, B, N) back-pointers; rows beyond about 16 buy no speed
+_DECODE_BATCH = 32
 
 
 class TriggerNotFoundError(ValueError):
@@ -257,34 +263,73 @@ def sequence_loglikelihood(model: Hmm, observations: list[str]) -> float:
     return float(_log(scale).sum())
 
 
-def viterbi_decode(model: Hmm, observations: list[str]) -> tuple[list[int], float]:
-    """Most probable state path and its joint log-probability.
+def _length_batches(encoded: list[np.ndarray], bound: int):
+    """Yield (indices, batch): equal-length sequences stacked, at most bound per batch.
 
-    Ties are broken toward the lowest state index at every step.  Each step
-    reads the best score at its argmax instead of reducing a second time:
-    the value at the first argmax is the maximum bit for bit, as the log
-    tables hold no NaN (validate refuses non-finite probabilities).
+    Groups follow the order in which their lengths first occur, and each
+    group is cut in order into batches of at most bound rows; indices are
+    the positions in encoded of the batch's rows.
     """
-    if not observations:
-        raise ValueError("observation sequence must be non-empty")
-    obs = model.encode(observations)
+    by_length: dict[int, list[int]] = {}
+    for i, obs in enumerate(encoded):
+        by_length.setdefault(len(obs), []).append(i)
+    for group in by_length.values():
+        for start in range(0, len(group), bound):
+            indices = group[start : start + bound]
+            yield indices, np.stack([encoded[i] for i in indices])
+
+
+def _viterbi_batch(model: Hmm, batch: np.ndarray) -> list[tuple[list[int], float]]:
+    """Viterbi over a (B, T) batch of encoded sequences of equal length.
+
+    scores[b, j, i] is row b's best score of reaching state j from state i,
+    so one argmax over the last axis gives every back-pointer of a step.
+    The best score is then read at that argmax through a flat index instead
+    of reducing a second time: the value at the first argmax is the maximum
+    bit for bit, as the log tables hold no NaN (validate refuses non-finite
+    probabilities).
+    """
     log_ps, log_pt, log_pe_by_symbol = model._log_tables
-    emit = log_pe_by_symbol[obs]
+    log_pt_to_from = np.ascontiguousarray(log_pt.T)
+    rows, length = batch.shape
     n = len(model.states)
-    columns = np.arange(n)
-    scores = np.empty((n, n))
-    delta = log_ps + emit[0]
-    back = np.zeros((len(obs), n), dtype=np.intp)
-    for t in range(1, len(obs)):
-        np.add(delta[:, None], log_pt, out=scores)
-        scores.argmax(axis=0, out=back[t])
-        delta = scores[back[t], columns]
-        delta += emit[t]
-    path = [int(np.argmax(delta))]
-    for t in range(len(obs) - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return path, float(np.max(delta))
+    symbols = np.ascontiguousarray(batch.T)
+    scores = np.empty((rows, n, n))
+    # flat position of scores[b, j, 0]; adding a back-pointer i gives scores[b, j, i]
+    offsets = np.arange(rows * n).reshape(rows, n) * n
+    flat = np.empty((rows, n), dtype=np.intp)
+    back = np.empty((length, rows, n), dtype=np.intp)
+    delta = log_ps + log_pe_by_symbol[symbols[0]]
+    for t in range(1, length):
+        np.add(delta[:, None, :], log_pt_to_from, out=scores)
+        scores.argmax(axis=2, out=back[t])
+        np.add(back[t], offsets, out=flat)
+        delta = scores.take(flat)
+        delta += log_pe_by_symbol[symbols[t]]
+    paths = np.empty((length, rows), dtype=np.intp)
+    paths[-1] = delta.argmax(axis=1)
+    every_row = np.arange(rows)
+    for t in range(length - 1, 0, -1):
+        paths[t - 1] = back[t, every_row, paths[t]]
+    return list(zip(paths.T.tolist(), delta.max(axis=1).tolist()))
+
+
+def viterbi_decode(model: Hmm, encoded: list[np.ndarray]) -> list[tuple[list[int], float]]:
+    """Most probable state path and its joint log-probability, per sequence.
+
+    encoded holds Hmm.encode rows; the result holds one (path, log-probability)
+    per row, in the same order.  Rows of equal length are decoded together,
+    in batches of at most _DECODE_BATCH, and each row's result is the same
+    bit for bit whatever batch it shares.  Ties are broken toward the
+    lowest state index at every step.
+    """
+    if not all(len(obs) for obs in encoded):
+        raise ValueError("observation sequence must be non-empty")
+    results = [None] * len(encoded)
+    for indices, batch in _length_batches(encoded, _DECODE_BATCH):
+        for i, result in zip(indices, _viterbi_batch(model, batch)):
+            results[i] = result
+    return results
 
 
 def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
@@ -302,36 +347,31 @@ def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
     pt_acc = np.zeros((n, n))
     pe_acc = np.zeros((m, n))
     total_ll = 0.0
-    by_length: dict[int, list[np.ndarray]] = {}
-    for obs in encoded:
-        by_length.setdefault(len(obs), []).append(obs)
     # one contiguous row per symbol; nothing is copied for a model
     # re-estimated from these counts, whose pe is the returned pe_acc.T
     pe_by_symbol = np.ascontiguousarray(model.pe.T)
-    for group in by_length.values():
-        for start in range(0, len(group), _BATCH_SEQUENCES):
-            batch = np.stack(group[start : start + _BATCH_SEQUENCES])
-            emit = pe_by_symbol[batch.T]
-            alpha, scale = _forward(model, emit)
-            if len(alpha) < len(emit):
-                raise ValueError("a training sequence has probability zero under the model")
-            # beta holds one step; alpha[t] is turned in place into the
-            # state posterior alpha[t] * beta[t] once step t is done
-            beta = np.ones((len(batch), n))
-            xi = np.zeros((n, n))
-            for t in range(len(alpha) - 2, -1, -1):
-                w = emit[t + 1] * beta / scale[t + 1, :, None]
-                xi += alpha[t].T @ w
-                beta = w @ model.pt.T
-                alpha[t] *= beta
-            total_ll += float(np.log(scale).sum())
-            ps_acc += alpha[0].sum(axis=0)
-            pt_acc += model.pt * xi
-            # sum the posterior rows of each distinct symbol, then add them once
-            symbols = batch.T.ravel()
-            order = np.argsort(symbols, kind="stable")
-            seen, starts = np.unique(symbols[order], return_index=True)
-            pe_acc[seen] += np.add.reduceat(alpha.reshape(-1, n)[order], starts)
+    for _, batch in _length_batches(encoded, _BATCH_SEQUENCES):
+        emit = pe_by_symbol[batch.T]
+        alpha, scale = _forward(model, emit)
+        if len(alpha) < len(emit):
+            raise ValueError("a training sequence has probability zero under the model")
+        # beta holds one step; alpha[t] is turned in place into the
+        # state posterior alpha[t] * beta[t] once step t is done
+        beta = np.ones((len(batch), n))
+        xi = np.zeros((n, n))
+        for t in range(len(alpha) - 2, -1, -1):
+            w = emit[t + 1] * beta / scale[t + 1, :, None]
+            xi += alpha[t].T @ w
+            beta = w @ model.pt.T
+            alpha[t] *= beta
+        total_ll += float(np.log(scale).sum())
+        ps_acc += alpha[0].sum(axis=0)
+        pt_acc += model.pt * xi
+        # sum the posterior rows of each distinct symbol, then add them once
+        symbols = batch.T.ravel()
+        order = np.argsort(symbols, kind="stable")
+        seen, starts = np.unique(symbols[order], return_index=True)
+        pe_acc[seen] += np.add.reduceat(alpha.reshape(-1, n)[order], starts)
     return ps_acc, pt_acc, pe_acc.T, total_ll
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from functools import lru_cache
 
-# maps each non-whitespace delimiter to a space, so str.split() splits on all of them
-_DELIMITERS_TO_SPACE = str.maketrans("&@=#,", "     ")
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?$")
 _CANONICAL_NUMBER = re.compile(r"-?\d+\.\d{2}$")
 
@@ -73,7 +71,12 @@ class TokenSequence:
 
 def _fragments(text: str) -> list[str]:
     """The non-empty runs of text between structural delimiters, case kept."""
-    return text.translate(_DELIMITERS_TO_SPACE).split()
+    # each non-whitespace delimiter becomes a space, so str.split() splits on
+    # all of them; five replace calls cost less than one str.translate
+    return (
+        text.replace("&", " ").replace("@", " ").replace("=", " ")
+        .replace("#", " ").replace(",", " ").split()
+    )
 
 
 def tokenize(text: str) -> list[str]:
@@ -132,6 +135,9 @@ def stem(word: str) -> str:
 def _normalize_fragment(fragment: str) -> str | None:
     """Lowercase a fragment; None for a stopword, else canonicalize a number or stem a word."""
     token = fragment.lower()
+    if token == fragment:
+        # the cache then holds one string for a fragment already lowercase
+        token = fragment
     if token in DEFAULT_STOPWORDS:
         return None
     return normalize_number(token) if is_number(token) else stem(token)

@@ -1,0 +1,9 @@
+"""Test helper: Viterbi on one token sequence, through the batched decode."""
+
+from driftparse.hmm import viterbi_decode
+
+
+def decode_one(model, observations):
+    """The (path, log-probability) of one token sequence, decoded as a batch of one."""
+    [result] = viterbi_decode(model, [model.encode(observations)])
+    return result

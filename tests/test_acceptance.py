@@ -33,13 +33,13 @@ from driftparse.hmm import (
     Hmm,
     baum_welch_fit,
     sequence_loglikelihood,
-    viterbi_decode,
 )
 from driftparse.mining import MiningConfig, build_cluster_candidates, count_token_frequencies, find_frequent_tokens, mine_clusters
 from driftparse.parsing import parse_corpus
 from driftparse.pipeline import parse_records, preprocess_corpus, train
 from driftparse.preprocess import EventRecord, is_canonical_number, is_number, preprocess_event
 
+from .decoding import decode_one
 from .golden_event import RAW_EVENT
 
 
@@ -167,7 +167,7 @@ class TestAcceptance:
                 worst_fwd,
                 abs(sequence_loglikelihood(model, obs) - np.log(probs.sum())),
             )
-            _, best = viterbi_decode(model, obs)
+            _, best = decode_one(model, obs)
             worst_vit = max(worst_vit, abs(best - np.log(probs.max())))
         ok = worst_fwd <= 1e-10 and worst_vit <= 1e-10
         checked(

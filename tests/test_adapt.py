@@ -12,10 +12,12 @@ from driftparse.adapt import (
 )
 from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus
 from driftparse.evaluate import confusion, sensitivity
-from driftparse.hmm import OOV_TOKEN, Hmm, observation_sequences, state_usage, viterbi_decode
+from driftparse.hmm import OOV_TOKEN, Hmm, observation_sequences, state_usage
 from driftparse.parsing import ParsingPattern, parse_corpus
 from driftparse.pipeline import preprocess_corpus, train
 from driftparse.preprocess import TokenSequence
+
+from .decoding import decode_one
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +136,7 @@ class TestViterbiAdaptation:
         votes, voting = Counter(), 0
         for line, obs in zip(lines_b, observation_sequences(model.states, lines_b)):
             if obs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set):
-                path, _ = viterbi_decode(model, obs)
+                path, _ = decode_one(model, obs)
                 votes.update(set(zip(obs, path)))
                 voting += 1
         expected = {tok for (tok, _), n in votes.items() if n / voting >= DEFAULT_CONSENSUS_FRACTION}
@@ -149,17 +151,36 @@ class TestViterbiAdaptation:
             for line, obs in zip(lines_b, observation_sequences(model.states, lines_b))
             if obs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set)
         ]
-        decoded = []
+        calls, batches = [], []
+        real_decode, real_batch = driftparse.adapt.viterbi_decode, driftparse.hmm._viterbi_batch
 
-        def spy(m, observations):
-            decoded.append(m.encode(observations).tobytes())
-            return viterbi_decode(m, observations)
+        def decode_spy(m, encoded):
+            calls.append([obs.tobytes() for obs in encoded])
+            return real_decode(m, encoded)
 
-        monkeypatch.setattr(driftparse.adapt, "viterbi_decode", spy)
+        def batch_spy(m, batch):
+            batches.append(batch)
+            return real_batch(m, batch)
+
+        monkeypatch.setattr(driftparse.adapt, "viterbi_decode", decode_spy)
+        monkeypatch.setattr(driftparse.hmm, "_viterbi_batch", batch_spy)
         _, _, report = adapt_viterbi(model, bundle_a.pattern, lines_b)
-        distinct = {model.encode(obs).tobytes() for obs in voting}
-        assert set(decoded) == distinct
-        assert len(decoded) == len(distinct) < len(voting) == report.voting_lines
+        length_of = {model.encode(obs).tobytes(): len(obs) for obs in voting}
+        [decoded] = calls
+        assert set(decoded) == set(length_of)
+        assert len(decoded) == len(length_of) < len(voting) == report.voting_lines
+        # a batch is a (rows, length) array, so its rows share one length
+        bound = driftparse.hmm._DECODE_BATCH
+        assert sorted(row.tobytes() for batch in batches for row in batch) == sorted(decoded)
+        assert all(1 <= len(batch) <= bound for batch in batches)
+        group_sizes = Counter(length_of.values())
+        assert max(group_sizes.values()) > bound  # some length is split over batches
+        assert len(batches) == sum(-(-size // bound) for size in group_sizes.values())
+
+    def test_small_decode_batch_gives_the_same_adaptation(self, bundle_a, lines_b, adapted_vit, monkeypatch):
+        monkeypatch.setattr(driftparse.hmm, "_DECODE_BATCH", 2)
+        _, pattern, report = adapt_viterbi(bundle_a.hmm, bundle_a.pattern, lines_b)
+        assert (pattern, report) == adapted_vit[1:]
 
     def test_lines_of_equal_length_that_encode_differently_decode_apart(self):
         # s0 emits x and s1 emits y: "x y" decodes to [0, 1] and "y x" to [1, 0];

@@ -35,6 +35,8 @@ from driftparse.mining import PatternCluster
 from driftparse.pipeline import preprocess_corpus
 from driftparse.preprocess import TokenSequence, is_number
 
+from .decoding import decode_one
+
 
 def make_hmm(ps, pt, pe, states=None, emissions=None):
     ps = np.asarray(ps, dtype=float)
@@ -238,10 +240,10 @@ class TestModelCaches:
     def test_extended_model_encodes_its_new_symbols(self):
         model = make_hmm([1.0], [[1.0]], [[0.6, 0.4]], emissions=("x", OOV_TOKEN))
         assert list(model.encode(["x", "y"])) == [0, 1]
-        viterbi_decode(model, ["x", "y"])
+        decode_one(model, ["x", "y"])
         extended = extend_alphabet(model, ["y"])
         assert list(extended.encode(["x", "y", "z"])) == [0, 1, 2]
-        path, logp = viterbi_decode(extended, ["y"])
+        path, logp = decode_one(extended, ["y"])
         assert path == [0]
         assert logp == pytest.approx(math.log(extended.pe[0, 1]), rel=1e-12)
 
@@ -260,7 +262,7 @@ class TestModelCaches:
 
         monkeypatch.setattr(driftparse.hmm, "_log", counting_log)
         for _ in range(50):
-            viterbi_decode(model, ["e0", "e1", "e1", "e0"])
+            decode_one(model, ["e0", "e1", "e1", "e0"])
         # one build logs ps, pt and pe once each
         assert len(logged) <= 3
 
@@ -451,7 +453,7 @@ class TestViterbi:
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_best_path_score(self, model_obs):
         model, obs = model_obs
-        path, logp = viterbi_decode(model, obs)
+        path, logp = decode_one(model, obs)
         oracle_path, oracle_logp = brute_force_viterbi(model, obs)
         assert logp == pytest.approx(oracle_logp, rel=1e-9)
         # recompute the returned path's own score; it must equal the optimum
@@ -472,7 +474,49 @@ class TestViterbi:
     @settings(max_examples=200, deadline=None)
     def test_equals_two_reduction_reference_exactly(self, model_obs):
         model, obs = model_obs
-        assert viterbi_decode(model, obs) == two_reduction_viterbi(model, obs)
+        assert decode_one(model, obs) == two_reduction_viterbi(model, obs)
+
+    @given(
+        model_with_zeros_and_ties.flatmap(
+            lambda m: st.integers(min_value=1, max_value=8).flatmap(
+                lambda length: st.tuples(
+                    st.just(m),
+                    st.lists(
+                        st.lists(st.sampled_from(m.emissions + ("unseen",)), min_size=length, max_size=length),
+                        min_size=1,
+                        max_size=6,
+                    ),
+                )
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_rows_equal_their_own_decode_exactly(self, model_rows):
+        # 1-6 rows of one length decode as one batch; a row's result must not
+        # depend on the rows beside it
+        model, rows = model_rows
+        batched = viterbi_decode(model, [model.encode(row) for row in rows])
+        assert len(batched) == len(rows)
+        for row, result in zip(rows, batched):
+            assert result == decode_one(model, row)
+            assert result == two_reduction_viterbi(model, row)
+
+    def test_mixed_lengths_keep_their_order(self, monkeypatch):
+        model = make_hmm(
+            [0.6, 0.4],
+            [[0.7, 0.3], [0.2, 0.8]],
+            [[0.5, 0.4, 0.1], [0.1, 0.8, 0.1]],
+        )
+        sequences = [["e0", "e1", "e1"], ["e1"], ["e1", "e0", "e0"], ["e0", "e1"], ["e1", "e1", "e1"]]
+        monkeypatch.setattr(driftparse.hmm, "_DECODE_BATCH", 2)
+        decoded = viterbi_decode(model, [model.encode(seq) for seq in sequences])
+        assert decoded == [two_reduction_viterbi(model, seq) for seq in sequences]
+
+    def test_empty_sequence_rejected(self):
+        model = make_hmm([1.0], [[1.0]], [[0.6, 0.4]], emissions=("x", OOV_TOKEN))
+        assert viterbi_decode(model, []) == []
+        with pytest.raises(ValueError, match="non-empty"):
+            viterbi_decode(model, [model.encode(["x"]), model.encode([])])
 
     def test_tie_breaks_to_lowest_index(self):
         model = make_hmm(
@@ -481,7 +525,7 @@ class TestViterbi:
             [[0.5, 0.5], [0.5, 0.5]],
             emissions=("x", OOV_TOKEN),
         )
-        path, _ = viterbi_decode(model, ["x", "x", "x"])
+        path, _ = decode_one(model, ["x", "x", "x"])
         assert path == [0, 0, 0]
 
     def test_forward_upper_bounds_viterbi(self):
@@ -491,7 +535,7 @@ class TestViterbi:
             [[0.5, 0.4, 0.1], [0.1, 0.8, 0.1]],
         )
         obs = ["e0", "e1", "e1", "e0"]
-        _, best = viterbi_decode(model, obs)
+        _, best = decode_one(model, obs)
         assert sequence_loglikelihood(model, obs) >= best
 
 
