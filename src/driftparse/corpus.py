@@ -24,7 +24,7 @@ from datetime import datetime, timedelta
 from random import Random
 
 from .parsing import DEFAULT_KPI, KpiTable
-from .preprocess import EventRecord, normalize_number
+from .preprocess import EventRecord
 
 DRIFT_NONE = "none"
 DRIFT_SYSTEM_B = "system_b"
@@ -157,9 +157,16 @@ def write_log(records: list[EventRecord], path) -> None:
 
 
 def load_kpi_table(path) -> KpiTable:
-    """Read a KPI CSV; values are canonicalized to two decimals on load."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return KpiTable.from_csv(fh.read())
+    """Read a KPI CSV file; a refusal names the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return KpiTable.from_csv(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: invalid UTF-8 byte {data[exc.start]:#04x}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _scan_fields(rng: Random, config: GeneratorConfig, drifted: bool) -> dict:
@@ -235,7 +242,7 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[EventRecord], KpiTabl
             event_type = "scan_preview" if is_echo else "scan"
             records.append(EventRecord(event_id, timestamp, event_type, text))
             if not is_echo:
-                truth.add(event_id, config.kpi_name, normalize_number(fields["ctdi"]))
+                truth.add(event_id, config.kpi_name, fields["ctdi"])
         else:
             event_type, template = _OTHER_TEMPLATES[rng.randrange(len(_OTHER_TEMPLATES))]
             text = template.format(a=f"{rng.uniform(0.1, 500.0):.1f}", b=rng.randrange(1000))

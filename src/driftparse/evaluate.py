@@ -4,8 +4,9 @@ The comparison universe is the population of candidate extraction slots
 (one per scanned line in single-KPI mode); true negatives are whatever the
 universe leaves after counting hits, false alarms and misses.  A row whose
 value mismatches the truth counts as one false positive and one false
-negative.  Values are compared after normalize_number, so "24.970004" and
-"24.97" are the same value.
+negative.  Values are compared as the strings KpiTable stores, which
+KpiTable.add has already canonicalized, so "24.970004" and "24.97" are
+the same value whether a table was parsed in memory or read from CSV.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .parsing import KpiTable
-from .preprocess import EventRecord, normalize_number
+from .preprocess import EventRecord
 
 
 @dataclass(frozen=True)
@@ -33,22 +34,18 @@ class ConfusionMatrix:
             raise ValueError("confusion counts must be non-negative")
 
 
-def _values_match(parsed: str, truth: str) -> bool:
-    return normalize_number(parsed) == normalize_number(truth)
-
-
 def confusion(parsed: KpiTable, truth: KpiTable, universe_size: int) -> ConfusionMatrix:
     """Slot-count confusion matrix over an explicit comparison universe."""
     parsed_map = parsed.as_dict()
     truth_map = truth.as_dict()
     tp = fp = fn = 0
     for key, value in parsed_map.items():
-        if key in truth_map and _values_match(value, truth_map[key]):
+        if key in truth_map and value == truth_map[key]:
             tp += 1
         else:
             fp += 1
     for key, value in truth_map.items():
-        if key not in parsed_map or not _values_match(parsed_map[key], value):
+        if key not in parsed_map or parsed_map[key] != value:
             fn += 1
     tn = universe_size - tp - fp - fn
     if tn < 0:

@@ -36,25 +36,34 @@ class ParsingPattern:
 
 @dataclass
 class KpiTable:
-    """Extracted (event_id, kpi, value) rows; at most one row per key."""
+    """Extracted (event_id, kpi, value) rows: one per key, each value canonical.
+
+    add() owns both rules, and the constructor's rows go through it, so a
+    table in memory holds exactly the rows its CSV form loads back as.
+    """
 
     rows: list[tuple[str, str, str]] = field(default_factory=list)
+    _keys: set[tuple[str, str]] = field(init=False, repr=False, compare=False, default_factory=set)
 
     CSV_HEADER = ("event_id", "kpi", "value")
 
+    def __post_init__(self):
+        rows, self.rows = self.rows, []
+        for row in rows:
+            self.add(*row)
+
     def add(self, event_id: str, kpi: str, value: str) -> None:
-        self.rows.append((event_id, kpi, value))
+        """Append a row with its value canonicalized; a repeated key raises ValueError."""
+        key = (event_id, kpi)
+        if key in self._keys:
+            raise ValueError(f"duplicate KPI row for ({event_id}, {kpi})")
+        self._keys.add(key)
+        self.rows.append((event_id, kpi, normalize_number(value)))
 
     def as_dict(self) -> dict[tuple[str, str], str]:
         return {(eid, kpi): value for eid, kpi, value in self.rows}
 
     def to_csv(self) -> str:
-        """The table as CSV text; a repeated key, which from_csv refuses, raises ValueError."""
-        seen = set()
-        for eid, kpi, _ in self.rows:
-            if (eid, kpi) in seen:
-                raise ValueError(f"duplicate KPI row for ({eid}, {kpi})")
-            seen.add((eid, kpi))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         # the writer quotes a field holding its line terminator "\n" but not a
@@ -72,25 +81,20 @@ class KpiTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "KpiTable":
+        """Read CSV text; each refusal names the line it is on."""
         reader = csv.reader(io.StringIO(text))
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            # a lone carriage return in an unquoted field, for one
-            raise ValueError(f"bad KPI table line {reader.line_num}: {exc}") from None
-        header = rows[0] if rows else None
-        if header is None or tuple(header) != cls.CSV_HEADER:
-            raise ValueError(f"bad KPI table header: {header!r}")
         table = cls()
-        seen = set()
-        for row in rows[1:]:
-            if len(row) != 3:
-                raise ValueError(f"bad KPI table row: {row!r}")
-            eid, kpi, value = row
-            if (eid, kpi) in seen:
-                raise ValueError(f"duplicate KPI row for ({eid}, {kpi})")
-            seen.add((eid, kpi))
-            table.add(eid, kpi, normalize_number(value))
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != cls.CSV_HEADER:
+                raise ValueError(f"bad KPI table header: {header!r}")
+            for row in reader:
+                if len(row) != 3:
+                    raise ValueError(f"bad KPI table row: {row!r}")
+                table.add(*row)
+        except (ValueError, csv.Error) as exc:
+            # csv.Error: a lone carriage return in an unquoted field, for one; empty text is line 1
+            raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
         return table
 
 
@@ -116,13 +120,13 @@ def parse_event(pattern: ParsingPattern, line: TokenSequence) -> str | None:
     """Extract the KPI value from one preprocessed line, if any.
 
     Requires full containment of the pattern tokens; the first trigger
-    alias occurrence followed by a numeric token wins.
+    alias occurrence followed by a numeric token, already canonical, wins.
     """
     if not pattern.required_tokens <= line.token_set():
         return None
     for _, following in state_followers(line.tokens, frozenset(pattern.trigger_aliases)):
         if is_number(following):
-            return normalize_number(following)
+            return following
     return None
 
 

@@ -34,10 +34,10 @@ def train(
     """
     if threshold is None:
         threshold = len(truth.rows)
-    if threshold < 1:
-        raise TrainingError("threshold would be zero: the truth table has no rows")
-    corpus = preprocess_corpus(records)
+        if threshold == 0:
+            raise TrainingError("threshold would be zero: the truth table has no rows")
     config = MiningConfig(threshold=threshold)
+    corpus = preprocess_corpus(records)
     for cluster in mine_clusters(corpus, config).clusters:
         matching = [line for line in corpus if cluster.tokens <= line.token_set()]
         try:

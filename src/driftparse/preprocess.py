@@ -8,9 +8,10 @@ survive as single tokens.  Whitespace is every code point that
 ``str.split()`` splits on, the same code points that the
 regular-expression whitespace class matches.
 
-All numeric tokens are canonicalized to exactly two fraction digits so that
-values parsed from event text line up with values in reference tables
-regardless of how many digits the writer emitted.
+Every numeric token that preprocessing emits, including one left by the
+stemmer ("100s" -> "100.00"), is canonicalized to exactly two fraction
+digits, so values parsed from event text line up with values in reference
+tables regardless of how many digits the writer emitted.
 """
 
 from __future__ import annotations
@@ -133,30 +134,20 @@ def stem(word: str) -> str:
 
 @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def _normalize_fragment(fragment: str) -> str | None:
-    """Lowercase a fragment; None for a stopword, else canonicalize a number or stem a word."""
+    """Lowercase a fragment; None for a stopword, else stem it and canonicalize a number.
+
+    No stemmer suffix can end a number, so a number passes the stemmer whole.
+    """
     token = fragment.lower()
-    if token == fragment:
-        # the cache then holds one string for a fragment already lowercase
-        token = fragment
     if token in DEFAULT_STOPWORDS:
         return None
-    return normalize_number(token) if is_number(token) else stem(token)
-
-
-def preprocess_tokens(raw_tokens: list[str]) -> list[str]:
-    """Drop stopwords, stem words, canonicalize numbers; order preserved.
-
-    The tokens are tokenize() output, already lowercase; lowercasing them
-    again inside the shared per-fragment cache changes nothing.
-    """
-    return [token for token in map(_normalize_fragment, raw_tokens) if token is not None]
+    return normalize_number(stem(token))
 
 
 def preprocess_event(event: EventRecord) -> TokenSequence:
-    """Turn a raw event into its normalized token sequence.
+    """Turn a raw event into its normalized token sequence, one cached lookup per fragment.
 
-    Equal to preprocess_tokens(tokenize(event.text)), with one cached
-    lookup per fragment: the fragment is lowercased inside the cache.
+    The fragments are tokenize()'s, lowercased inside the cache.
     """
     normalized = map(_normalize_fragment, _fragments(event.text))
     return TokenSequence(event.event_id, tuple(token for token in normalized if token is not None))

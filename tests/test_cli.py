@@ -82,6 +82,21 @@ class TestTrain:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("threshold", ["0", "-5"])
+    def test_explicit_threshold_below_one_errors(self, workdir, tmp_path, capsys, threshold):
+        code, _, err = run(capsys, "train", str(workdir / "a/log.tsv"), str(workdir / "a/truth.csv"),
+                           "--threshold", threshold, "-o", str(tmp_path / "m.json"))
+        assert code == 1
+        assert err == "error: threshold must be >= 1\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_empty_truth_table_errors(self, workdir, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("event_id,kpi,value\n")
+        code, _, err = run(capsys, "train", str(workdir / "a/log.tsv"), str(truth), "-o", str(tmp_path / "m.json"))
+        assert code == 1
+        assert err == "error: threshold would be zero: the truth table has no rows\n"
+
     def test_status_cluster_on_top_is_passed_over(self, tmp_path, capsys):
         # at seed 6 the status lines outnumber the scan lines, and no number
         # follows "statu"; the scan cluster below it carries the trigger
@@ -174,8 +189,7 @@ class TestParseEval:
         bad.write_bytes(b"event_id,kpi,value\ne1\rx,ctdi,1.0\n")
         code, _, err = run(capsys, "eval", str(bad), str(bad), "--universe", "10")
         assert code == 1
-        assert err.startswith("error:")
-        assert "line 2" in err
+        assert err.startswith(f"error: {bad}: line 2:")
 
     def test_eval_universe_too_small_errors(self, workdir, capsys):
         code, _, err = run(capsys, "eval", str(workdir / "a/truth.csv"),

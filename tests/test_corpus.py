@@ -210,6 +210,23 @@ class TestLogIo:
         path.write_text("event_id,kpi,value\ne1,ctdi,16.660\n")
         assert load_kpi_table(path).rows == [("e1", "ctdi", "16.66")]
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"", "line 1: bad KPI table header: None"),
+            (b"id,kpi,value\n", "line 1: bad KPI table header"),
+            (b"event_id,kpi,value\ne1,ctdi,1.00\ne2,ctdi,1.00,x\n", "line 3: bad KPI table row"),
+            (b"event_id,kpi,value\ne1,ctdi,1.00\ne1,ctdi,2.00\n", "line 3: duplicate KPI row for (e1, ctdi)"),
+            (b"event_id,kpi,value\ne1,ctdi,1.00\ne2,ctdi,2.0\xff\n", "line 3: invalid UTF-8 byte 0xff"),
+            (b"event_id,kpi,value\n\xc3", "line 2: invalid UTF-8 byte 0xc3"),
+        ],
+    )
+    def test_load_kpi_table_refusal_names_file_and_line(self, tmp_path, data, message):
+        path = tmp_path / "truth.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            load_kpi_table(path)
+
 
 class TestManifest:
     def test_manifest_records_config_and_digests(self, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus, load_kpi_table
 from driftparse.evaluate import (
     ConfusionMatrix,
     accuracy,
@@ -10,6 +11,7 @@ from driftparse.evaluate import (
     stratified_split,
 )
 from driftparse.parsing import KpiTable
+from driftparse.pipeline import parse_records, train
 from driftparse.preprocess import EventRecord
 
 
@@ -56,6 +58,18 @@ class TestConfusion:
         assert cm.tp + cm.fn >= len(truth.rows) - len(parsed.rows)
         # every truth row is either hit or missed
         assert cm.tp + cm.fn == len(truth.rows) + (cm.fp - (len(parsed.rows) - cm.tp))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_memory_equals_csv_round_trip(self, seed, tmp_path):
+        # a clean-trained pattern on a drifted log gives hits and misses, and
+        # false alarms at seeds 1 and 2
+        pattern = train(*generate_corpus(GeneratorConfig(seed=seed, n_events=300))).pattern
+        records, truth = generate_corpus(GeneratorConfig(seed=seed + 1000, n_events=300, drift_profile=DRIFT_SYSTEM_B))
+        parsed = parse_records(pattern, records)
+        parsed.write_csv(tmp_path / "parsed.csv")
+        truth.write_csv(tmp_path / "truth.csv")
+        loaded = confusion(load_kpi_table(tmp_path / "parsed.csv"), load_kpi_table(tmp_path / "truth.csv"), len(records))
+        assert confusion(parsed, truth, len(records)) == loaded
 
 
 class TestMetrics:

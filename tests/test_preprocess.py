@@ -1,9 +1,12 @@
+import ast
 import re
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import driftparse
 from driftparse.preprocess import (
     DEFAULT_STOPWORDS,
     EventRecord,
@@ -11,7 +14,6 @@ from driftparse.preprocess import (
     is_number,
     normalize_number,
     preprocess_event,
-    preprocess_tokens,
     stem,
     tokenize,
 )
@@ -112,8 +114,43 @@ class TestNormalizeNumber:
         assert normalize_number(normalized) == normalized
 
 
+def test_normalize_number_used_only_by_its_two_owners():
+    """Preprocessing canonicalizes tokens and KpiTable.add stored values; no other code may."""
+
+    class Uses(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope, self.found = [module], []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Name(self, node):
+            if node.id == "normalize_number":
+                self.found.append(".".join(self.scope))
+
+        def visit_Attribute(self, node):
+            if node.attr == "normalize_number":
+                self.found.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    found = []
+    for path in sorted(Path(driftparse.__file__).parent.glob("*.py")):
+        uses = Uses(path.stem)
+        uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += uses.found
+    assert sorted(found) == ["parsing.KpiTable.add", "preprocess._normalize_fragment"]
+
+
 def uncached_preprocess(raw_tokens):
-    return [normalize_number(t) if is_number(t) else stem(t) for t in raw_tokens if t not in DEFAULT_STOPWORDS]
+    return [normalize_number(stem(t)) for t in raw_tokens if t not in DEFAULT_STOPWORDS]
+
+
+def preprocess_text(text):
+    return list(preprocess_event(EventRecord("e1", "t", "x", text)).tokens)
 
 
 class TestPreprocessTokens:
@@ -128,7 +165,9 @@ class TestPreprocessTokens:
         )
     )
     def test_matches_uncached_composition(self, raw):
-        assert preprocess_tokens(raw) == uncached_preprocess(raw)
+        # the drawn tokens hold no delimiter, so joining them with spaces
+        # gives preprocess_event the same fragments
+        assert preprocess_text(" ".join(raw)) == uncached_preprocess(raw)
 
 
 class TestPreprocessEvent:
@@ -166,8 +205,8 @@ class TestPreprocessEvent:
         assert not set(preprocess_event(event).tokens) & DEFAULT_STOPWORDS
 
     def test_idempotent_on_rejoined_output(self):
-        tokens = preprocess_tokens(tokenize(RAW_EVENT))
-        assert preprocess_tokens(tokenize(" ".join(tokens))) == tokens
+        tokens = preprocess_text(RAW_EVENT)
+        assert preprocess_text(" ".join(tokens)) == tokens
 
     def test_deterministic(self):
         event = EventRecord("e1", "t", "x", RAW_EVENT)
@@ -175,6 +214,16 @@ class TestPreprocessEvent:
 
     @given(TOKENIZER_TEXT)
     def test_equals_preprocess_tokens_over_regex_split(self, text):
-        event = EventRecord("e1", "t", "x", text)
-        assert list(preprocess_event(event).tokens) == preprocess_tokens(reference_tokenize(text))
-        assert preprocess_tokens(reference_tokenize(text)) == uncached_preprocess(reference_tokenize(text))
+        assert preprocess_text(text) == uncached_preprocess(reference_tokenize(text))
+
+    @given(
+        st.text(alphabet=st.sampled_from("@=#, .-0123456789sedingoaLS"), max_size=30)
+        | st.lists(st.sampled_from(["16.6s", "100s", "7.5e", "2ing", "0.6", "-3", "ion", " "]), max_size=8).map(" ".join)
+    )
+    @example("@Scan time@=#16.6s#")
+    def test_every_number_out_is_canonical(self, text):
+        # the stemmer can leave a number behind ("16.6s" -> "16.6"), which
+        # must come out canonical like any other
+        for token in preprocess_text(text):
+            if is_number(token):
+                assert is_canonical_number(token), token
