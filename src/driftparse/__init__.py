@@ -40,7 +40,7 @@ from .mining import (
     mine_clusters,
     select_clusters,
 )
-from .parsing import KpiTable, ParsingPattern, compile_pattern, parse_corpus, parse_event
+from .parsing import KpiTable, ParsingPattern, parse_corpus, parse_event
 from .pipeline import TrainingError, parse_records, preprocess_corpus, train
 from .preprocess import (
     DEFAULT_STOPWORDS,

@@ -28,7 +28,7 @@ from .hmm import (
     state_usage,
     viterbi_decode,
 )
-from .parsing import ParsingPattern, normalize_aliases
+from .parsing import ParsingPattern
 from .preprocess import TokenSequence
 
 DEFAULT_OCCUPANCY_FLOOR = 0.1
@@ -66,8 +66,11 @@ def adapt_baum_welch(
     The adapted pattern depends only on the state_usage token counts of the
     new corpus: states used less than occupancy_floor times the mean usage
     are dropped, and a dropped trigger is re-chosen among the kept states by
-    find_trigger_state.  The Baum-Welch refit does not affect the pattern;
-    it only produces the model returned here and saved into the bundle.
+    find_trigger_state.  The required tokens become the kept states, so a
+    token an earlier Viterbi adapt added is not kept; the trigger aliases
+    lose only the dropped states, and keep the trigger.  The Baum-Welch
+    refit does not affect the pattern; it only produces the model returned
+    here and saved into the bundle.
     A floor that is negative or not finite is refused before the refit runs.
     """
     if not new_corpus:
@@ -87,7 +90,8 @@ def adapt_baum_welch(
     trigger = pattern.trigger
     if trigger not in kept:
         trigger = find_trigger_state(kept, new_corpus)
-    aliases = normalize_aliases(trigger, [a for a in pattern.trigger_aliases if a in kept])
+    starved = usage.keys() - kept
+    aliases = (pattern.trigger_aliases - starved) | {trigger}
     adapted = replace(pattern, required_tokens=kept, trigger=trigger, trigger_aliases=aliases)
     report = AdaptReport(pattern, adapted, tuple(trace))
     return fitted, adapted, report

@@ -76,7 +76,7 @@ def bundle_to_document(bundle: ModelBundle) -> dict:
             "required_tokens": sorted(bundle.pattern.required_tokens),
             "trigger": bundle.pattern.trigger,
             "kpi_name": bundle.pattern.kpi_name,
-            "trigger_aliases": list(bundle.pattern.trigger_aliases),
+            "trigger_aliases": sorted(bundle.pattern.trigger_aliases),
         },
     }
 
@@ -173,7 +173,7 @@ def document_to_bundle(doc: dict) -> ModelBundle:
             required_tokens=frozenset(_str_list(pt_doc, "required_tokens", "$.pattern")),
             trigger=_get(pt_doc, "trigger", str, "$.pattern"),
             kpi_name=_get(pt_doc, "kpi_name", str, "$.pattern"),
-            trigger_aliases=tuple(_str_list(pt_doc, "trigger_aliases", "$.pattern")),
+            trigger_aliases=frozenset(_str_list(pt_doc, "trigger_aliases", "$.pattern")),
         )
     except ValueError as exc:
         raise BundleError(f"invalid pattern in $.pattern: {exc}") from None

@@ -176,7 +176,7 @@ def cmd_inspect(args) -> int:
     print(f"format version: {FORMAT_VERSION}")
     print(f"provenance: {bundle.provenance}")
     print(f"kpi: {bundle.pattern.kpi_name}")
-    print(f"trigger: {bundle.pattern.trigger} (aliases: {', '.join(bundle.pattern.trigger_aliases)})")
+    print(f"trigger: {bundle.pattern.trigger} (aliases: {', '.join(sorted(bundle.pattern.trigger_aliases))})")
     print(f"mining threshold: {bundle.mining_config.threshold}")
     print(f"required tokens ({len(bundle.pattern.required_tokens)}):")
     for token in sorted(bundle.pattern.required_tokens):

@@ -42,7 +42,6 @@ from itertools import compress, pairwise
 
 import numpy as np
 
-from .mining import PatternCluster
 from .preprocess import TokenSequence, is_number
 
 OOV_TOKEN = "<oov>"
@@ -179,9 +178,10 @@ def state_usage(states, corpus: list[TokenSequence]) -> dict[str, int]:
     return usage
 
 
-def build_hmm(matching_lines: list[TokenSequence], cluster: PatternCluster) -> Hmm:
-    """Construct the model from lines that all carry the cluster tokens.
+def build_hmm(matching_lines: list[TokenSequence], state_tokens) -> Hmm:
+    """Construct the model whose states are state_tokens, sorted, from lines.
 
+    Training passes a mined cluster's tokens and the lines that carry them.
     Start counts are each state token's occurrences across the lines (its
     state_usage); transitions are bigrams over the line's state-token
     subsequence, its state run (non-state tokens are skipped); emissions are
@@ -190,9 +190,9 @@ def build_hmm(matching_lines: list[TokenSequence], cluster: PatternCluster) -> H
     """
     if not matching_lines:
         raise ValueError("matching_lines must be non-empty")
-    if not cluster.tokens:
-        raise ValueError("cluster must be non-empty")
-    states = tuple(sorted(cluster.tokens))
+    if not state_tokens:
+        raise ValueError("state_tokens must be non-empty")
+    states = tuple(sorted(state_tokens))
     state_set = frozenset(states)
     sidx = {s: i for i, s in enumerate(states)}
 

@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .hmm import Hmm, state_followers
+from .hmm import state_followers
 from .preprocess import TokenSequence, is_number, normalize_number
 
 # the KPI a generated corpus plants and a trained pattern extracts by default
@@ -22,16 +22,18 @@ DEFAULT_KPI = "ctdi"
 
 @dataclass(frozen=True)
 class ParsingPattern:
+    """Required tokens and trigger aliases: two sets that each hold the trigger."""
+
     required_tokens: frozenset[str]
     trigger: str
     kpi_name: str
-    trigger_aliases: tuple[str, ...]
+    trigger_aliases: frozenset[str]
 
     def __post_init__(self):
         if self.trigger not in self.required_tokens:
             raise ValueError("trigger must be one of the required tokens")
-        if not self.trigger_aliases:
-            raise ValueError("trigger_aliases must contain at least the trigger")
+        if self.trigger not in self.trigger_aliases:
+            raise ValueError("trigger must be one of the trigger aliases")
 
 
 @dataclass
@@ -93,27 +95,13 @@ class KpiTable:
                     raise ValueError(f"bad KPI table row: {row!r}")
                 table.add(*row)
         except (ValueError, csv.Error) as exc:
-            # csv.Error: a lone carriage return in an unquoted field, for one; empty text is line 1
-            raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
+            # lines end at "\n" only, so a new-line csv finds in an unquoted
+            # field is a lone "\r"; csv's own message names a file mode instead
+            unquoted_cr = isinstance(exc, csv.Error) and "new-line" in str(exc)
+            reason = "unquoted carriage return in a field" if unquoted_cr else exc
+            # empty text is line 1
+            raise ValueError(f"line {max(reader.line_num, 1)}: {reason}") from None
         return table
-
-
-def normalize_aliases(trigger: str, aliases) -> tuple[str, ...]:
-    """The aliases as a tuple, with the trigger put first when it is missing."""
-    aliases = tuple(aliases or ())
-    if trigger not in aliases:
-        aliases = (trigger,) + aliases
-    return aliases
-
-
-def compile_pattern(
-    model: Hmm,
-    trigger: str,
-    kpi_name: str,
-    aliases: list[str] | None = None,
-) -> ParsingPattern:
-    """Combine model states with the trigger state token into a pattern."""
-    return ParsingPattern(frozenset(model.states), trigger, kpi_name, normalize_aliases(trigger, aliases))
 
 
 def parse_event(pattern: ParsingPattern, line: TokenSequence) -> str | None:
@@ -124,7 +112,7 @@ def parse_event(pattern: ParsingPattern, line: TokenSequence) -> str | None:
     """
     if not pattern.required_tokens <= line.token_set():
         return None
-    for _, following in state_followers(line.tokens, frozenset(pattern.trigger_aliases)):
+    for _, following in state_followers(line.tokens, pattern.trigger_aliases):
         if is_number(following):
             return following
     return None

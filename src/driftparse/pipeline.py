@@ -1,11 +1,11 @@
-"""End-to-end orchestration: preprocess, mine, build, compile, parse."""
+"""End-to-end orchestration: preprocess, mine, build, parse."""
 
 from __future__ import annotations
 
 from .bundle import ModelBundle
 from .hmm import TriggerNotFoundError, build_hmm, find_trigger_state
 from .mining import MiningConfig, mine_clusters
-from .parsing import DEFAULT_KPI, KpiTable, ParsingPattern, compile_pattern, parse_corpus
+from .parsing import DEFAULT_KPI, KpiTable, ParsingPattern, parse_corpus
 from .preprocess import EventRecord, TokenSequence, preprocess_event
 
 
@@ -31,6 +31,7 @@ def train(
     training window, which is the number of KPI occurrences the pattern
     is expected to cover.  The best-supported cluster that has a trigger
     state wins; one with no number after any of its tokens is passed over.
+    The pattern's trigger aliases are the given aliases plus the trigger.
     """
     if threshold is None:
         threshold = len(truth.rows)
@@ -44,8 +45,8 @@ def train(
             trigger = find_trigger_state(cluster.tokens, matching)
         except TriggerNotFoundError:
             continue
-        model = build_hmm(matching, cluster)
-        pattern = compile_pattern(model, trigger, kpi_name, aliases)
+        model = build_hmm(matching, cluster.tokens)
+        pattern = ParsingPattern(cluster.tokens, trigger, kpi_name, frozenset(aliases or ()) | {trigger})
         return ModelBundle(model, pattern, config, provenance)
     raise TrainingError(f"no cluster with support >= {threshold} has a trigger state")
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from driftparse.adapt import (
 )
 from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus
 from driftparse.evaluate import confusion, sensitivity
-from driftparse.hmm import OOV_TOKEN, Hmm, observation_sequences, state_usage
+from driftparse.hmm import OOV_TOKEN, FitConfig, Hmm, observation_sequences, state_usage
 from driftparse.parsing import ParsingPattern, parse_corpus
 from driftparse.pipeline import preprocess_corpus, train
 from driftparse.preprocess import TokenSequence
@@ -93,6 +94,16 @@ class TestBaumWelchAdaptation:
         trace = report.loglik_trace
         assert trace
         assert all(b >= a - 1e-6 for a, b in zip(trace, trace[1:]))
+
+    def test_aliases_keep_non_states_and_lose_starved_states(self, bundle_a, lines_b):
+        # ctdivol is no state, so the refit has no count for it; mas is a
+        # state the drifted log starves
+        aliases = frozenset({"ctdi", "ctdivol", "mas"})
+        pattern = replace(bundle_a.pattern, trigger_aliases=aliases)
+        _, adapted, _ = adapt_baum_welch(bundle_a.hmm, pattern, lines_b, FitConfig(max_iterations=1))
+        assert "ctdivol" not in bundle_a.hmm.states
+        assert "mas" not in adapted.required_tokens
+        assert adapted.trigger_aliases == {"ctdi", "ctdivol"}
 
     def test_refit_model_validates(self, adapted_bw):
         adapted_bw[0].validate()
@@ -192,7 +203,7 @@ class TestViterbiAdaptation:
             np.array([[0.5, 0.5], [0.5, 0.5]]),
             np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05]]),
         )
-        pattern = ParsingPattern(frozenset(model.states), "s0", "ctdi", ("s0",))
+        pattern = ParsingPattern(frozenset(model.states), "s0", "ctdi", frozenset({"s0"}))
         lines = [TokenSequence("e1", ("s0", "x", "s1", "y")), TokenSequence("e2", ("s1", "y", "s0", "x"))]
         _, adapted, report = adapt_viterbi(model, pattern, lines)
         assert adapted.required_tokens == {"s0", "s1", "x", "y"}

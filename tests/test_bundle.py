@@ -2,6 +2,7 @@ import bisect
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ class TestRoundTrip:
         save_bundle(bundle_a, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_aliases_are_written_sorted_and_load_as_a_set(self, bundle_a):
+        aliases = frozenset({"zz", bundle_a.pattern.trigger, "aa"})
+        aliased = replace(bundle_a, pattern=replace(bundle_a.pattern, trigger_aliases=aliases))
+        doc = doc_of(aliased)
+        assert doc["pattern"]["trigger_aliases"] == sorted(aliases)
+        doc["pattern"]["trigger_aliases"].reverse()
+        assert document_to_bundle(doc).pattern.trigger_aliases == aliases
+
     def test_save_load_save_is_stable(self, tmp_path, bundle_a):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_bundle(bundle_a, a)
@@ -127,7 +136,7 @@ def models(draw):
 
 
 def hmm_document(model):
-    pattern = ParsingPattern(frozenset({"s0"}), "s0", "ctdi", ("s0",))
+    pattern = ParsingPattern(frozenset({"s0"}), "s0", "ctdi", frozenset({"s0"}))
     return bundle_to_document(ModelBundle(model, pattern, MiningConfig(threshold=1), "test"))["hmm"]
 
 
@@ -340,6 +349,13 @@ class TestValidation:
         doc = doc_of(bundle_a)
         doc["pattern"]["trigger"] = "never-mined"
         with pytest.raises(BundleError, match="invalid pattern"):
+            document_to_bundle(doc)
+
+    def test_aliases_without_the_trigger_rejected(self, bundle_a):
+        doc = doc_of(bundle_a)
+        doc["pattern"]["trigger_aliases"] = ["dlp"]
+        message = r"^invalid pattern in \$\.pattern: trigger must be one of the trigger aliases$"
+        with pytest.raises(BundleError, match=message):
             document_to_bundle(doc)
 
     def test_invalid_threshold_names_path(self, bundle_a):

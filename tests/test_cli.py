@@ -112,6 +112,24 @@ class TestTrain:
         assert code == 0
         assert "sensitivity 100.0%" in out
 
+    def test_alias_survives_inspect_and_both_adapts(self, workdir, tmp_path, capsys):
+        model, refit, decoded = (tmp_path / name for name in ("model.json", "refit.json", "decoded.json"))
+        code, _, _ = run(
+            capsys, "train", str(workdir / "a/log.tsv"), str(workdir / "a/truth.csv"),
+            "--alias", "ctdivol", "-o", str(model),
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "inspect", str(model))
+        assert code == 0
+        assert "trigger: ctdi (aliases: ctdi, ctdivol)\n" in out
+        for strategy, source, target in (("baum-welch", model, refit), ("viterbi", refit, decoded)):
+            code, _, _ = run(
+                capsys, "adapt", str(source), str(workdir / "b/log.tsv"),
+                "--strategy", strategy, "-o", str(target),
+            )
+            assert code == 0
+            assert json.loads(target.read_text())["pattern"]["trigger_aliases"] == ["ctdi", "ctdivol"]
+
 
 class TestParseEval:
     def test_parse_recovers_truth(self, workdir, tmp_path, capsys):
@@ -189,7 +207,7 @@ class TestParseEval:
         bad.write_bytes(b"event_id,kpi,value\ne1\rx,ctdi,1.0\n")
         code, _, err = run(capsys, "eval", str(bad), str(bad), "--universe", "10")
         assert code == 1
-        assert err.startswith(f"error: {bad}: line 2:")
+        assert err == f"error: {bad}: line 2: unquoted carriage return in a field\n"
 
     def test_eval_universe_too_small_errors(self, workdir, capsys):
         code, _, err = run(capsys, "eval", str(workdir / "a/truth.csv"),
@@ -306,10 +324,11 @@ class TestInspect:
             (("hmm", "pe", 0, "fill"), "nan", "finite"),
             (("hmm", "emissions", 0), ["x"], r"\$\.hmm\.emissions\[0\]"),
             (("hmm", "emissions", -1), "zzz", "<oov>"),
+            (("pattern", "trigger_aliases"), ["dlp"], r"invalid pattern in \$\.pattern: trigger"),
         ],
-        ids=["nan", "non-string", "no-oov"],
+        ids=["nan", "non-string", "no-oov", "aliases-without-trigger"],
     )
-    @pytest.mark.parametrize("command", ["inspect", "adapt"])
+    @pytest.mark.parametrize("command", ["inspect", "adapt", "parse"])
     def test_damaged_bundle_is_an_error_not_a_crash(self, workdir, tmp_path, capsys, where, value, message, command):
         doc = json.loads((workdir / "model.json").read_text())
         node = doc
@@ -321,6 +340,8 @@ class TestInspect:
         argv = [command, str(bad)]
         if command == "adapt":
             argv += [str(workdir / "b/log.tsv"), "--strategy", "viterbi", "-o", str(tmp_path / "out.json")]
+        if command == "parse":
+            argv += [str(workdir / "a/log.tsv"), "-o", str(tmp_path / "out.csv")]
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")

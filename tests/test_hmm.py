@@ -31,7 +31,6 @@ from driftparse.hmm import (
     state_usage,
     viterbi_decode,
 )
-from driftparse.mining import PatternCluster
 from driftparse.pipeline import preprocess_corpus
 from driftparse.preprocess import TokenSequence, is_number
 
@@ -564,7 +563,7 @@ class TestBuildHmm:
     def test_counts_by_hand(self):
         # two lines over states {a, b}: transitions a->b twice, b->a once
         corpus = self.lines(["a", "x", "b", "a"], ["a", "b", "y"])
-        model = build_hmm(corpus, PatternCluster(frozenset({"a", "b"}), 2))
+        model = build_hmm(corpus, {"a", "b"})
         eps = SMOOTHING_EPSILON
         assert model.states == ("a", "b")
         assert model.emissions == ("x", "y", OOV_TOKEN)
@@ -582,7 +581,7 @@ class TestBuildHmm:
 
     def test_oov_column_is_last_and_small(self):
         corpus = self.lines(["a", "x"])
-        model = build_hmm(corpus, PatternCluster(frozenset({"a"}), 1))
+        model = build_hmm(corpus, {"a"})
         assert model.emissions[-1] == OOV_TOKEN
         assert model.pe[0, -1] < 1e-5
 
@@ -591,14 +590,14 @@ class TestBuildHmm:
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            build_hmm([], PatternCluster(frozenset({"a"}), 1))
+            build_hmm([], {"a"})
         with pytest.raises(ValueError):
-            build_hmm(self.lines(["a"]), PatternCluster(frozenset(), 0))
+            build_hmm(self.lines(["a"]), set())
 
 
-def reference_build_hmm(matching_lines, cluster):
+def reference_build_hmm(matching_lines, state_tokens):
     """build_hmm as a walk of every line, one numpy increment per transition."""
-    states = tuple(sorted(cluster.tokens))
+    states = tuple(sorted(state_tokens))
     state_set = frozenset(states)
     sidx = {s: i for i, s in enumerate(states)}
     usage = state_usage(states, matching_lines)
@@ -664,8 +663,7 @@ class TestTrainingOracles:
 
     @given(ORACLE_CORPORA, st.sets(st.sampled_from(ORACLE_STATES), min_size=1))
     def test_build_hmm_equals_reference(self, corpus, states):
-        cluster = PatternCluster(frozenset(states), len(corpus))
-        assert_same_model(build_hmm(corpus, cluster), reference_build_hmm(corpus, cluster))
+        assert_same_model(build_hmm(corpus, states), reference_build_hmm(corpus, states))
 
     @given(ORACLE_CORPORA, st.sets(st.sampled_from(ORACLE_STATES), min_size=1))
     def test_trigger_equals_reference(self, corpus, states):
@@ -676,15 +674,13 @@ class TestTrainingOracles:
         corpus = [TokenSequence("e0", ("a", "1.00", "x")), TokenSequence("e1", ("b", "1.00", "2.00"))]
         states = ("a", "b", "1.00")
         assert find_trigger_state(states, corpus) == reference_trigger_state(states, corpus) == "1.00"
-        cluster = PatternCluster(frozenset(states), 2)
-        assert_same_model(build_hmm(corpus, cluster), reference_build_hmm(corpus, cluster))
+        assert_same_model(build_hmm(corpus, states), reference_build_hmm(corpus, states))
 
     def test_trained_corpus_with_numeric_states(self, bundle_a, lines_a):
         states = bundle_a.hmm.states
         assert {"0.60", "1.00", "60.00"} <= set(states)
         matching = [line for line in lines_a if set(states) <= line.token_set()]
-        cluster = PatternCluster(frozenset(states), len(matching))
-        assert_same_model(build_hmm(matching, cluster), reference_build_hmm(matching, cluster))
+        assert_same_model(build_hmm(matching, states), reference_build_hmm(matching, states))
         assert find_trigger_state(states, matching) == reference_trigger_state(states, matching)
 
 

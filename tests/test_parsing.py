@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from driftparse.parsing import (
     KpiTable,
     ParsingPattern,
-    compile_pattern,
     parse_corpus,
     parse_event,
 )
-from driftparse.pipeline import parse_records
+from driftparse.pipeline import parse_records, train
 from driftparse.preprocess import TokenSequence
 
 
@@ -19,7 +18,7 @@ def line(*tokens, event_id="e1"):
 
 
 def pattern(required, trigger="ctdi", aliases=None):
-    return ParsingPattern(frozenset(required), trigger, "ctdi", tuple(aliases or (trigger,)))
+    return ParsingPattern(frozenset(required), trigger, "ctdi", frozenset(aliases or {trigger}))
 
 
 class TestPattern:
@@ -29,16 +28,19 @@ class TestPattern:
 
     def test_aliases_required(self):
         with pytest.raises(ValueError):
-            ParsingPattern(frozenset({"ctdi"}), "ctdi", "ctdi", ())
+            ParsingPattern(frozenset({"ctdi"}), "ctdi", "ctdi", frozenset())
 
-    def test_compile_prepends_trigger_alias(self):
-        class FakeModel:
-            states = ("ctdi", "kv")
+    def test_aliases_must_hold_the_trigger(self):
+        with pytest.raises(ValueError, match="trigger must be one of the trigger aliases"):
+            ParsingPattern(frozenset({"ctdi"}), "ctdi", "ctdi", frozenset({"dlp"}))
 
-        p = compile_pattern(FakeModel(), "ctdi", "ctdi", aliases=["ctdivol"])
+    def test_train_adds_the_trigger_to_the_aliases(self, corpus_a):
+        records, truth = corpus_a
+        bundle = train(records, truth, aliases=["ctdivol"])
+        p = bundle.pattern
         assert p.trigger == "ctdi"
-        assert p.trigger_aliases == ("ctdi", "ctdivol")
-        assert p.required_tokens == frozenset({"ctdi", "kv"})
+        assert p.trigger_aliases == frozenset({"ctdi", "ctdivol"})
+        assert p.required_tokens == frozenset(bundle.hmm.states)
 
 
 class TestParseEvent:
@@ -149,7 +151,7 @@ class TestKpiTable:
             KpiTable.from_csv("event_id,kpi,value\ne1,ctdi\n")
 
     def test_unquoted_lone_carriage_return_is_a_value_error(self):
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match=r"^line 2: unquoted carriage return in a field$"):
             KpiTable.from_csv("event_id,kpi,value\ne1\rx,ctdi,1.0\n")
 
     def test_lone_carriage_return_is_quoted(self):

@@ -1,6 +1,7 @@
 import ast
 import re
 import sys
+from importlib.util import resolve_name
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,34 @@ def test_normalize_number_used_only_by_its_two_owners():
         uses.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += uses.found
     assert sorted(found) == ["parsing.KpiTable.add", "preprocess._normalize_fragment"]
+
+
+def test_lower_layers_import_only_preprocess():
+    """preprocess imports nothing from the package; mining and hmm import only preprocess."""
+
+    def package_imports(tree):
+        """The package modules a module imports, relative or absolute; the package itself is __init__."""
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = resolve_name("." * node.level + (node.module or ""), "driftparse")
+                modules = [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                top, _, rest = module.partition(".")
+                if top == "driftparse":
+                    found.add(rest.partition(".")[0] or "__init__")
+        return found
+
+    imports = {
+        path.stem: package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in Path(driftparse.__file__).parent.glob("*.py")
+    }
+    assert imports["preprocess"] == set()
+    assert imports["mining"] | imports["hmm"] <= {"preprocess"}
 
 
 def uncached_preprocess(raw_tokens):
