@@ -111,10 +111,11 @@ def adapt_viterbi(
 
     A decoded path depends only on the line's encoding, so each voting line
     is encoded once and the distinct encodings go to one viterbi_decode
-    call, which decodes them in batches of equal length; on a drifted log
-    most unseen values encode as <oov>, and 599 voting lines hold about 200
-    distinct encodings.  Each line still votes with its own raw tokens,
-    never with their encoding.
+    call, which steps each of their distinct prefixes once; on a drifted
+    log most unseen values encode as <oov>, and the 599 voting lines of the
+    benchmark's Viterbi workload at seed 0 hold 204 distinct encodings of
+    9,166 symbols but 3,458 distinct prefixes.  Each line still votes with
+    its own raw tokens, never with their encoding.
 
     On the corpora the tests check (acceptance 4's drifted log and generated
     system_b logs of seeds 0-9), the adapted pattern does not depend on the

@@ -107,6 +107,16 @@ def _str_list(node: dict, key: str, path: str) -> list:
     return values
 
 
+def _str_set(node: dict, key: str, path: str) -> frozenset:
+    """A list of distinct strings as a set; a repeated item is refused, not collapsed."""
+    seen = set()
+    for i, value in enumerate(_str_list(node, key, path)):
+        if value in seen:
+            raise BundleError(f"repeated item at {path}.{key}[{i}]")
+        seen.add(value)
+    return frozenset(seen)
+
+
 def _float_row(node, path: str, width: int) -> np.ndarray:
     """The ``width`` probabilities of one row object (see ``_sparse_row``)."""
     if not isinstance(node, dict):
@@ -168,13 +178,12 @@ def document_to_bundle(doc: dict) -> ModelBundle:
         raise BundleError(f"invalid model in $.hmm: {exc}") from None
 
     pt_doc = _get(doc, "pattern", dict, "$")
+    required_tokens = _str_set(pt_doc, "required_tokens", "$.pattern")
+    trigger = _get(pt_doc, "trigger", str, "$.pattern")
+    kpi_name = _get(pt_doc, "kpi_name", str, "$.pattern")
+    trigger_aliases = _str_set(pt_doc, "trigger_aliases", "$.pattern")
     try:
-        pattern = ParsingPattern(
-            required_tokens=frozenset(_str_list(pt_doc, "required_tokens", "$.pattern")),
-            trigger=_get(pt_doc, "trigger", str, "$.pattern"),
-            kpi_name=_get(pt_doc, "kpi_name", str, "$.pattern"),
-            trigger_aliases=frozenset(_str_list(pt_doc, "trigger_aliases", "$.pattern")),
-        )
+        pattern = ParsingPattern(required_tokens, trigger, kpi_name, trigger_aliases)
     except ValueError as exc:
         raise BundleError(f"invalid pattern in $.pattern: {exc}") from None
     return ModelBundle(model, pattern, mining_config, provenance)

@@ -15,17 +15,19 @@ variables rescaled to sum to 1 at every step (Rabiner 1989, section V.A),
 and Viterbi decoding is max-plus in log-space, so that sequences of
 thousands of symbols never underflow.
 
-Both passes run over batches of equal-length sequences: _length_batches
-groups the sequences by length and stacks each group in batches of a
-bounded size, so a step costs a few numpy calls per batch rather than per
-sequence, and the batch arrays stay small however large the corpus.  The
-Baum-Welch E-step stacks at most _BATCH_SEQUENCES per batch and
-viterbi_decode at most _DECODE_BATCH.  viterbi_decode is the one Viterbi
-path: a single sequence is a batch of one, so the oracle tests check the
-very code adaptation runs.  A decode step fills one (B, N, N) score buffer
-and takes one argmax.  A path depends only on the encoded sequence, so
-adapt_viterbi decodes each distinct encoding once and reuses the path for
-every line that encodes the same way.
+The Baum-Welch E-step runs over batches of equal-length sequences:
+_length_batches groups the sequences by length and stacks each group in
+batches of at most _BATCH_SEQUENCES, so a step costs a few numpy calls per
+batch rather than per sequence, and the batch arrays stay small however
+large the corpus.  viterbi_decode is the one Viterbi path: it cuts its
+rows, sorted by their bytes, into groups of at most _DECODE_BATCH and
+decodes each group over the prefix tree of its rows, so rows that share a
+prefix share its steps.  A step fills one (W, N, N) score buffer for the W
+distinct prefixes of one length and takes one argmax.  A single sequence
+is a group of one, so the oracle tests check the very code adaptation
+runs.  A path depends only on the encoded sequence, so adapt_viterbi
+decodes each distinct encoding once and reuses the path for every line
+that encodes the same way.
 
 Unknown symbols at inference time map to a reserved out-of-vocabulary
 emission column that carries only smoothing-floor mass; drifted logs
@@ -54,9 +56,10 @@ _ROW_SUM_ATOL = 1e-9
 # most sequences one E-step batch stacks: bounds its (T, B, N) arrays
 _BATCH_SEQUENCES = 256
 
-# most sequences one Viterbi batch stacks: bounds its (B, N, N) score
-# buffer and (T, B, N) back-pointers; rows beyond about 16 buy no speed
-_DECODE_BATCH = 32
+# most rows one Viterbi group holds: bounds its (W, N, N) score buffer and
+# its back-pointers, one (W, N) array per level, W being at most the rows;
+# a larger group shares more prefixes, at more peak memory
+_DECODE_BATCH = 64
 
 
 class TriggerNotFoundError(ValueError):
@@ -279,55 +282,114 @@ def _length_batches(encoded: list[np.ndarray], bound: int):
             yield indices, np.stack([encoded[i] for i in indices])
 
 
-def _viterbi_batch(model: Hmm, batch: np.ndarray) -> list[tuple[list[int], float]]:
-    """Viterbi over a (B, T) batch of encoded sequences of equal length.
+def _prefix_tree(symbols: np.ndarray, live: np.ndarray):
+    """Levels of the prefix tree of a group's rows, and each row's last node.
 
-    scores[b, j, i] is row b's best score of reaching state j from state i,
-    so one argmax over the last axis gives every back-pointer of a step.
-    The best score is then read at that argmax through a flat index instead
-    of reducing a second time: the value at the first argmax is the maximum
-    bit for bit, as the log tables hold no NaN (validate refuses non-finite
-    probabilities).
+    symbols is (T, G): column g holds row g, the rows sorted longest first
+    and padded after their end, and live[t] counts the rows longer than t,
+    so the rows that reach level t are the first live[t] columns.
+    levels[t] is a pair of arrays (parent, symbol) with one entry, or node,
+    per distinct prefix of length t + 1, in ascending (parent, symbol)
+    order: the index of its prefix of length t in levels[t - 1] (0 at level
+    0) and its last symbol, an emission index, so below 2**32.  node[g] is
+    the index of row g's own node in the level where the row ends.
+    """
+    node = np.zeros(symbols.shape[1], dtype=np.intp)
+    levels = []
+    for t in range(len(symbols)):
+        live_now = live[t]
+        keys = node[:live_now] << 32 | symbols[t, :live_now]
+        prefixes, node[:live_now] = np.unique(keys, return_inverse=True)
+        levels.append((prefixes >> 32, prefixes & 0xFFFFFFFF))
+    return levels, node
+
+
+def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], float]]:
+    """Viterbi over a group of encoded rows, one step per distinct prefix.
+
+    Rows that share a prefix share its steps: level t of the prefix tree
+    (_prefix_tree) holds the group's distinct prefixes of length t + 1, and
+    each is stepped once from the scores of its parent.  scores[w, j, i] is
+    node w's best score of reaching state j from state i, so one argmax over
+    the last axis gives every back-pointer of a level.  The best score is
+    then read at that argmax through a flat index instead of reducing a
+    second time: the value at the first argmax is the maximum bit for bit,
+    as the log tables hold no NaN (validate refuses non-finite
+    probabilities).  A row takes its last state and log-probability at the
+    level where it ends, and one back-trace over the parent arrays walks
+    every row's path at once.
     """
     log_ps, log_pt, log_pe_by_symbol = model._log_tables
     log_pt_to_from = np.ascontiguousarray(log_pt.T)
-    rows, length = batch.shape
     n = len(model.states)
-    symbols = np.ascontiguousarray(batch.T)
-    scores = np.empty((rows, n, n))
-    # flat position of scores[b, j, 0]; adding a back-pointer i gives scores[b, j, i]
-    offsets = np.arange(rows * n).reshape(rows, n) * n
-    flat = np.empty((rows, n), dtype=np.intp)
-    back = np.empty((length, rows, n), dtype=np.intp)
-    delta = log_ps + log_pe_by_symbol[symbols[0]]
-    for t in range(1, length):
-        np.add(delta[:, None, :], log_pt_to_from, out=scores)
-        scores.argmax(axis=2, out=back[t])
-        np.add(back[t], offsets, out=flat)
-        delta = scores.take(flat)
-        delta += log_pe_by_symbol[symbols[t]]
-    paths = np.empty((length, rows), dtype=np.intp)
-    paths[-1] = delta.argmax(axis=1)
-    every_row = np.arange(rows)
-    for t in range(length - 1, 0, -1):
-        paths[t - 1] = back[t, every_row, paths[t]]
-    return list(zip(paths.T.tolist(), delta.max(axis=1).tolist()))
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    by_length = np.argsort(-lengths, kind="stable")
+    lengths = lengths[by_length]
+    longest = lengths[0]
+    # live[t] rows are longer than t; live[longest] is 0
+    live = np.count_nonzero(lengths[:, None] > np.arange(longest + 1), axis=0)
+    symbols = np.zeros((longest, len(rows)), dtype=np.intp)
+    symbols.T[np.arange(longest) < lengths[:, None]] = np.concatenate([rows[g] for g in by_length])
+    levels, node = _prefix_tree(symbols, live)
+
+    width = max(len(parent) for parent, _ in levels)
+    scores = np.empty((width, n, n))
+    # flat position of scores[w, j, 0]; adding a back-pointer i gives scores[w, j, i]
+    offsets = np.arange(width * n).reshape(width, n) * n
+    flat = np.empty((width, n), dtype=np.intp)
+    backs = [None]  # level 0 has no parent to point back to
+    last = np.empty(len(rows), dtype=np.intp)
+    logp = np.empty(len(rows))
+    for t, (parent, symbol) in enumerate(levels):
+        if t == 0:
+            delta = log_ps + log_pe_by_symbol[symbol]
+        else:
+            nodes = len(parent)
+            step = scores[:nodes]
+            np.add(delta[parent][:, None, :], log_pt_to_from, out=step)
+            back = step.argmax(axis=2)
+            np.add(back, offsets[:nodes], out=flat[:nodes])
+            delta = step.take(flat[:nodes])
+            delta += log_pe_by_symbol[symbol]
+            backs.append(back)
+        ending = slice(live[t + 1], live[t])
+        if ending.start < ending.stop:
+            final = delta[node[ending]]
+            last[ending] = final.argmax(axis=1)
+            logp[ending] = final.max(axis=1)
+
+    # a row joins the back-trace at the level where it ends
+    paths = np.empty((longest, len(rows)), dtype=np.intp)
+    for t in range(longest - 1, 0, -1):
+        live_now = live[t]
+        paths[t, :live_now] = last[:live_now]
+        last[:live_now] = backs[t][node[:live_now], last[:live_now]]
+        node[:live_now] = levels[t][0][node[:live_now]]
+    paths[0] = last
+    results = [None] * len(rows)
+    for g, path, length, score in zip(by_length.tolist(), paths.T.tolist(), lengths.tolist(), logp.tolist()):
+        results[g] = (path[:length], score)
+    return results
 
 
 def viterbi_decode(model: Hmm, encoded: list[np.ndarray]) -> list[tuple[list[int], float]]:
     """Most probable state path and its joint log-probability, per sequence.
 
     encoded holds Hmm.encode rows; the result holds one (path, log-probability)
-    per row, in the same order.  Rows of equal length are decoded together,
-    in batches of at most _DECODE_BATCH, and each row's result is the same
-    bit for bit whatever batch it shares.  Ties are broken toward the
-    lowest state index at every step.
+    per row, in the same order.  The rows are sorted by their bytes, so rows
+    that share a prefix lie side by side, and cut in that order into groups
+    of at most _DECODE_BATCH; each group is decoded over the prefix tree of
+    its rows (_decode_tree), one step per distinct prefix.  A row's result
+    is the same bit for bit whatever group it shares.  Ties are broken
+    toward the lowest state index at every step.
     """
     if not all(len(obs) for obs in encoded):
         raise ValueError("observation sequence must be non-empty")
+    order = sorted(range(len(encoded)), key=lambda i: encoded[i].tobytes())
     results = [None] * len(encoded)
-    for indices, batch in _length_batches(encoded, _DECODE_BATCH):
-        for i, result in zip(indices, _viterbi_batch(model, batch)):
+    for start in range(0, len(order), _DECODE_BATCH):
+        indices = order[start : start + _DECODE_BATCH]
+        for i, result in zip(indices, _decode_tree(model, [encoded[i] for i in indices])):
             results[i] = result
     return results
 

@@ -22,7 +22,10 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from functools import lru_cache
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?$")
-_CANONICAL_NUMBER = re.compile(r"-?\d+\.\d{2}$")
+# what normalize_number returns for a number, as Decimal writes it: ASCII
+# digits, no leading zero, two fraction digits.  Used with fullmatch: $
+# would also match before a trailing newline, and \d any Unicode digit.
+_CANONICAL_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)\.[0-9]{2}")
 
 # Ordered suffix table for the stemmer: longest match first, applied
 # repeatedly until no suffix fits.  Stripping never leaves a stem shorter
@@ -94,17 +97,18 @@ def is_number(token: str) -> bool:
 
 
 def is_canonical_number(token: str) -> bool:
-    """True if the token is a number in canonical two-decimal form."""
-    return bool(_CANONICAL_NUMBER.match(token))
+    """True if the token is a number in the form normalize_number returns for it."""
+    return bool(_CANONICAL_NUMBER.fullmatch(token))
 
 
 def normalize_number(token: str) -> str:
     """Rewrite a decimal number with exactly two fraction digits.
 
     Rounding is half-away-from-zero.  Tokens with two or more dots
-    (dotted UIDs) or any non-digit character pass through unchanged.
+    (dotted UIDs) or any non-digit character pass through unchanged, and
+    so does a number already in the form this returns.
     """
-    if not is_number(token):
+    if not is_number(token) or is_canonical_number(token):
         return token
     value = Decimal(token)
     # quantize() overflows the default 28-digit context on very long

@@ -162,31 +162,45 @@ class TestViterbiAdaptation:
             for line, obs in zip(lines_b, observation_sequences(model.states, lines_b))
             if obs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set)
         ]
-        calls, batches = [], []
-        real_decode, real_batch = driftparse.adapt.viterbi_decode, driftparse.hmm._viterbi_batch
+        calls, groups, trees = [], [], []
+        real_decode = driftparse.adapt.viterbi_decode
+        real_group, real_tree = driftparse.hmm._decode_tree, driftparse.hmm._prefix_tree
 
         def decode_spy(m, encoded):
             calls.append([obs.tobytes() for obs in encoded])
             return real_decode(m, encoded)
 
-        def batch_spy(m, batch):
-            batches.append(batch)
-            return real_batch(m, batch)
+        def group_spy(m, rows):
+            groups.append([tuple(row.tolist()) for row in rows])
+            return real_group(m, rows)
+
+        def tree_spy(symbols, live):
+            levels, node = real_tree(symbols, live)
+            trees.append([(parent.tolist(), symbol.tolist()) for parent, symbol in levels])
+            return levels, node
 
         monkeypatch.setattr(driftparse.adapt, "viterbi_decode", decode_spy)
-        monkeypatch.setattr(driftparse.hmm, "_viterbi_batch", batch_spy)
+        monkeypatch.setattr(driftparse.hmm, "_decode_tree", group_spy)
+        monkeypatch.setattr(driftparse.hmm, "_prefix_tree", tree_spy)
         _, _, report = adapt_viterbi(model, bundle_a.pattern, lines_b)
-        length_of = {model.encode(obs).tobytes(): len(obs) for obs in voting}
+        distinct = {model.encode(obs).tobytes() for obs in voting}
         [decoded] = calls
-        assert set(decoded) == set(length_of)
-        assert len(decoded) == len(length_of) < len(voting) == report.voting_lines
-        # a batch is a (rows, length) array, so its rows share one length
+        assert set(decoded) == distinct
+        assert len(decoded) == len(distinct) < len(voting) == report.voting_lines
+        # the groups cut the distinct encodings into as few bounded groups as can hold them
         bound = driftparse.hmm._DECODE_BATCH
-        assert sorted(row.tobytes() for batch in batches for row in batch) == sorted(decoded)
-        assert all(1 <= len(batch) <= bound for batch in batches)
-        group_sizes = Counter(length_of.values())
-        assert max(group_sizes.values()) > bound  # some length is split over batches
-        assert len(batches) == sum(-(-size // bound) for size in group_sizes.values())
+        grouped = [np.array(row, dtype=np.intp).tobytes() for group in groups for row in group]
+        assert sorted(grouped) == sorted(decoded)
+        assert all(1 <= len(group) <= bound for group in groups)
+        assert len(groups) == -(-len(distinct) // bound) > 1
+        # level t of a group's tree steps each distinct prefix of length t + 1 once
+        assert len(trees) == len(groups)
+        for group, levels in zip(groups, trees):
+            assert len(levels) == max(map(len, group))
+            prefixes = [()]
+            for t, (parent, symbol) in enumerate(levels):
+                prefixes = [prefixes[p] + (s,) for p, s in zip(parent, symbol)]
+                assert prefixes == sorted({row[: t + 1] for row in group if len(row) > t})
 
     def test_small_decode_batch_gives_the_same_adaptation(self, bundle_a, lines_b, adapted_vit, monkeypatch):
         monkeypatch.setattr(driftparse.hmm, "_DECODE_BATCH", 2)

@@ -338,6 +338,15 @@ class TestValidation:
         with pytest.raises(BundleError, match=rf"bad type at \$\.{section}\.{key}\[0\]"):
             document_to_bundle(doc)
 
+    @pytest.mark.parametrize("key", ["required_tokens", "trigger_aliases"])
+    def test_repeated_token_names_path(self, bundle_a, key):
+        # a set stored twice over would load as the set, hiding a corrupt file
+        doc = doc_of(bundle_a)
+        items = doc["pattern"][key]
+        doc["pattern"][key] = items + items
+        with pytest.raises(BundleError, match=rf"^repeated item at \$\.pattern\.{key}\[{len(items)}\]$"):
+            document_to_bundle(doc)
+
     def test_missing_oov_column_rejected(self, bundle_a):
         doc = doc_of(bundle_a)
         assert doc["hmm"]["emissions"][-1] == "<oov>"

@@ -447,6 +447,16 @@ class TestExpectedCountsAtLogSize:
         assert max(b for _, b in batches) <= limit
 
 
+def rows_sharing_prefixes(symbol):
+    """Rows of mixed lengths built from one stem: branches that leave it at
+    any depth (one past its end extends it), its first symbol, which is a
+    prefix of it, and the stem again, a repeat."""
+    word = st.lists(symbol, min_size=1, max_size=8)
+    return st.tuples(word, st.lists(st.tuples(st.integers(min_value=0, max_value=9), word), max_size=6)).map(
+        lambda raw: [raw[0], *(raw[0][:depth] + tail for depth, tail in raw[1]), raw[0][:1], raw[0]]
+    )
+
+
 class TestViterbi:
     @given(random_model.flatmap(lambda m: st.tuples(st.just(m), obs_for(m, 5))))
     @settings(max_examples=60, deadline=None)
@@ -491,12 +501,34 @@ class TestViterbi:
     )
     @settings(max_examples=100, deadline=None)
     def test_stacked_rows_equal_their_own_decode_exactly(self, model_rows):
-        # 1-6 rows of one length decode as one batch; a row's result must not
+        # 1-6 rows of one length decode as one group; a row's result must not
         # depend on the rows beside it
         model, rows = model_rows
         batched = viterbi_decode(model, [model.encode(row) for row in rows])
         assert len(batched) == len(rows)
         for row, result in zip(rows, batched):
+            assert result == decode_one(model, row)
+            assert result == two_reduction_viterbi(model, row)
+
+    @pytest.mark.parametrize("bound", [None, 2])
+    @given(
+        model_with_zeros_and_ties.flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                rows_sharing_prefixes(st.sampled_from(m.emissions + ("unseen",))).flatmap(st.permutations),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_sharing_prefixes_equal_their_own_decode_exactly(self, bound, model_rows):
+        # rows that share steps in the prefix tree must not share results
+        model, rows = model_rows
+        with pytest.MonkeyPatch.context() as patch:
+            if bound is not None:
+                patch.setattr(driftparse.hmm, "_DECODE_BATCH", bound)
+            decoded = viterbi_decode(model, [model.encode(row) for row in rows])
+        assert len(decoded) == len(rows)
+        for row, result in zip(rows, decoded):
             assert result == decode_one(model, row)
             assert result == two_reduction_viterbi(model, row)
 

@@ -1,6 +1,7 @@
 import ast
 import re
 import sys
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from importlib.util import resolve_name
 from pathlib import Path
 
@@ -113,6 +114,32 @@ class TestNormalizeNumber:
         normalized = normalize_number(str(value))
         assert is_canonical_number(normalized)
         assert normalize_number(normalized) == normalized
+
+    @given(
+        st.one_of(
+            st.from_regex(r"-?[0-9]{1,45}\.[0-9]{1,3}\n?", fullmatch=True),
+            st.text(alphabet="-.0123456789\n\u0663\u0665\u0660", max_size=12),
+            st.decimals(allow_nan=False, allow_infinity=False, places=2).map(str),
+        )
+    )
+    @example("007.50")
+    @example("-0.00")
+    @example("1.50\n")
+    @example("\u0663.\u0665\u0660")
+    @example("1" * 40 + ".50")
+    def test_equals_the_decimal_path(self, token):
+        # a canonical number skips Decimal; that must change no result
+        assert normalize_number(token) == decimal_normalize(token)
+
+
+def decimal_normalize(token):
+    """normalize_number through Decimal alone, with no shortcut for canonical numbers."""
+    if not is_number(token):
+        return token
+    value = Decimal(token)
+    with localcontext() as ctx:
+        ctx.prec = max(28, len(value.as_tuple().digits) + 2)
+        return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def test_normalize_number_used_only_by_its_two_owners():
