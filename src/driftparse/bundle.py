@@ -14,6 +14,7 @@ the model can be used.  docs/bundle_schema.json describes the layout.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +102,9 @@ def _get(node: dict, key: str, kind, path: str):
 
 def _str_list(node: dict, key: str, path: str) -> list:
     values = _get(node, key, list, path)
-    for i, value in enumerate(values):
-        if not isinstance(value, str):
-            raise BundleError(f"bad type at {path}.{key}[{i}]")
+    if not {*map(type, values)} <= {str}:
+        i = next(i for i, value in enumerate(values) if type(value) is not str)
+        raise BundleError(f"bad type at {path}.{key}[{i}]")
     return values
 
 
@@ -126,18 +127,18 @@ def _float_row(node, path: str, width: int) -> np.ndarray:
     value = _get(node, "value", list, path)
     if len(index) != len(value):
         raise BundleError(f"index and value lengths differ in {path}")
-    if not all(type(j) is int for j in index):
+    if not {*map(type, index)} <= {int}:
         raise BundleError(f"bad index in {path}")
-    increasing = all(a < b for a, b in zip(index, index[1:]))
+    increasing = all(map(operator.lt, index, index[1:]))
     if index and not (increasing and 0 <= index[0] and index[-1] < width):
         raise BundleError(f"index out of range or not increasing in {path}")
     # the schema stores every probability as a string, so a JSON number or
     # boolean is refused, not passed through float()
-    if type(fill) is not str or not all(type(x) is str for x in value):
+    if type(fill) is not str or not {*map(type, value)} <= {str}:
         raise BundleError(f"bad number in {path}")
     try:
         row = np.full(width, float(fill))
-        row[index] = [float(x) for x in value]
+        row[index] = list(map(float, value))
     except ValueError:
         raise BundleError(f"bad number in {path}") from None
     return row

@@ -6,7 +6,7 @@ from .bundle import ModelBundle
 from .hmm import TriggerNotFoundError, build_hmm, find_trigger_state
 from .mining import MiningConfig, mine_clusters
 from .parsing import DEFAULT_KPI, KpiTable, ParsingPattern, parse_corpus
-from .preprocess import EventRecord, TokenSequence, preprocess_event
+from .preprocess import EventRecord, TokenSequence, may_yield, preprocess_event
 
 
 class TrainingError(ValueError):
@@ -52,4 +52,10 @@ def train(
 
 
 def parse_records(pattern: ParsingPattern, records: list[EventRecord]) -> KpiTable:
-    return parse_corpus(pattern, preprocess_corpus(records))
+    """Parse raw records, preprocessing only those whose text may yield the trigger.
+
+    The trigger is a required token, so a line that cannot yield it cannot
+    match: the table equals parse_corpus over every preprocessed record.
+    """
+    candidates = [r for r in records if may_yield(r.text, pattern.trigger)]
+    return parse_corpus(pattern, preprocess_corpus(candidates))

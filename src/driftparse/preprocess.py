@@ -12,6 +12,12 @@ Every numeric token that preprocessing emits, including one left by the
 stemmer ("100s" -> "100.00"), is canonicalized to exactly two fraction
 digits, so values parsed from event text line up with values in reference
 tables regardless of how many digits the writer emitted.
+
+Each distinct fragment is normalized once and kept in a plain dict memo,
+which is emptied whenever it reaches its size limit.  Because
+normalization only lowercases, strips suffixes and rewrites numbers, a
+non-numeric token can come only from text that contains it in lowercase;
+``may_yield`` applies that to skip lines that cannot hold a token.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
-from functools import lru_cache
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?$")
 # what normalize_number returns for a number, as Decimal writes it: ASCII
@@ -34,8 +39,8 @@ _SUFFIXES = ("ion", "ing", "al", "ed", "es", "e", "s")
 _MIN_STEM = 3
 
 # A log repeats few distinct tokens many times (3,783 distinct among 43,818
-# in a 1,500-event log), so the per-fragment transform is memoised up to this
-# many distinct fragments.
+# in a 1,500-event log), so the per-fragment transform is memoised in a dict
+# that is emptied when it holds this many distinct fragments.
 _TOKEN_CACHE_SIZE = 1 << 16
 
 # The one stopword list: a bundle does not record one, so training, parsing
@@ -136,22 +141,50 @@ def stem(word: str) -> str:
             return current
 
 
-@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def _normalize_fragment(fragment: str) -> str | None:
     """Lowercase a fragment; None for a stopword, else stem it and canonicalize a number.
 
     No stemmer suffix can end a number, so a number passes the stemmer whole.
+    A fragment already in lowercase is returned as the same object, so the
+    memo does not hold a second copy of it.
     """
     token = fragment.lower()
+    if token == fragment:
+        token = fragment
     if token in DEFAULT_STOPWORDS:
         return None
     return normalize_number(stem(token))
 
 
-def preprocess_event(event: EventRecord) -> TokenSequence:
-    """Turn a raw event into its normalized token sequence, one cached lookup per fragment.
+class _FragmentMemo(dict):
+    """fragment -> its token, or "" for a stopword; emptied when full."""
 
-    The fragments are tokenize()'s, lowercased inside the cache.
+    def __missing__(self, fragment: str) -> str:
+        if len(self) >= _TOKEN_CACHE_SIZE:
+            self.clear()
+        token = self[fragment] = _normalize_fragment(fragment) or ""
+        return token
+
+
+_memo = _FragmentMemo()
+
+
+def preprocess_event(event: EventRecord) -> TokenSequence:
+    """Turn a raw event into its normalized token sequence, one memo lookup per fragment.
+
+    The fragments are tokenize()'s, lowercased inside the memo.  No token is
+    empty, so dropping the empty strings drops exactly the stopwords.
     """
-    normalized = map(_normalize_fragment, _fragments(event.text))
-    return TokenSequence(event.event_id, tuple(token for token in normalized if token is not None))
+    return TokenSequence(event.event_id, tuple(filter(None, map(_memo.__getitem__, _fragments(event.text)))))
+
+
+def may_yield(text: str, token: str) -> bool:
+    """False only if preprocessing ``text`` cannot emit ``token``.
+
+    A non-numeric token is a prefix of some lowercased fragment (stemming
+    only strips suffixes, and normalize_number leaves a non-number alone),
+    and no delimiter changes how its neighbours lowercase, so that fragment
+    lies inside ``text.lower()``.  A number can be rewritten ("16.6" ->
+    "16.60"), so for a numeric token every text may yield it.
+    """
+    return is_number(token) or token in text.lower()

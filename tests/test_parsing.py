@@ -9,8 +9,11 @@ from driftparse.parsing import (
     parse_corpus,
     parse_event,
 )
-from driftparse.pipeline import parse_records, train
-from driftparse.preprocess import TokenSequence
+from driftparse import pipeline
+from driftparse.adapt import adapt_baum_welch
+from driftparse.corpus import GeneratorConfig, generate_corpus
+from driftparse.pipeline import parse_records, preprocess_corpus, train
+from driftparse.preprocess import EventRecord, TokenSequence
 
 
 def line(*tokens, event_id="e1"):
@@ -109,6 +112,64 @@ class TestParseCorpus:
         _, truth = corpus_a
         parsed = parse_corpus(bundle_a.pattern, lines_a)
         assert parsed.as_dict() == truth.as_dict()
+
+
+def unfiltered(pattern, records):
+    return parse_corpus(pattern, preprocess_corpus(records))
+
+
+# the slot number is the trigger: its token "7.00" is not in the text "7"
+SLOT_RECORDS = [
+    EventRecord(f"slot{i}", "t", "x", f"&Dose slot&,@Slot {i % 9}@=#{i}.6#,@CTDI@=#1#") for i in range(40)
+]
+SLOT_PATTERN = ParsingPattern(frozenset({"dos", "slot", "7.00"}), "7.00", "slot7", frozenset({"7.00"}))
+
+
+class TestParseRecords:
+    """parse_records preprocesses only the lines that may yield the trigger; its table must not change."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("drift", ["none", "system_b"])
+    def test_equals_the_unfiltered_parse_on_gen_logs(self, bundle_a, seed, drift):
+        records, _ = generate_corpus(GeneratorConfig(seed=seed, n_events=400, drift_profile=drift))
+        assert parse_records(bundle_a.pattern, records).rows == unfiltered(bundle_a.pattern, records).rows
+
+    def test_equals_the_unfiltered_parse_on_the_drifted_log(self, bundle_a, lines_b, corpus_b):
+        # acceptance 4's drifted log, with the trained and the refit pattern
+        records, _ = corpus_b
+        _, refit, _ = adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, lines_b)
+        for p in (bundle_a.pattern, refit):
+            expected = unfiltered(p, records)
+            assert expected.rows
+            assert parse_records(p, records).rows == expected.rows
+
+    def test_numeric_trigger_parses_every_line(self, corpus_a):
+        records = corpus_a[0][:200] + SLOT_RECORDS
+        expected = unfiltered(SLOT_PATTERN, records)
+        assert [row[2] for row in expected.rows] == ["7.60", "16.60", "25.60", "34.60"]
+        assert parse_records(SLOT_PATTERN, records).rows == expected.rows
+
+    def test_trigger_alias_besides_the_trigger(self, bundle_a, corpus_b):
+        # kv comes before ctdi in a scan line, so the alias extracts the kV value
+        p = ParsingPattern(bundle_a.pattern.required_tokens, "ctdi", "ctdi", frozenset({"ctdi", "kv"}))
+        records, _ = corpus_b
+        expected = unfiltered(p, records)
+        assert expected.rows and expected.rows != unfiltered(bundle_a.pattern, records).rows
+        assert parse_records(p, records).rows == expected.rows
+
+    def test_lines_without_the_trigger_are_not_preprocessed(self, bundle_a, corpus_a, monkeypatch):
+        seen, real = [], pipeline.preprocess_event
+
+        def spy(event):
+            seen.append(event)
+            return real(event)
+
+        monkeypatch.setattr(pipeline, "preprocess_event", spy)
+        records, truth = corpus_a
+        table = parse_records(bundle_a.pattern, records)
+        assert table.as_dict() == truth.as_dict()
+        assert all("ctdi" in event.text.lower() for event in seen)
+        assert len(seen) == sum("ctdi" in r.text.lower() for r in records) < len(records)
 
 
 class TestKpiTable:

@@ -6,14 +6,16 @@ from importlib.util import resolve_name
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import driftparse
+from driftparse import preprocess
 from driftparse.preprocess import (
     DEFAULT_STOPWORDS,
     EventRecord,
     is_canonical_number,
     is_number,
+    may_yield,
     normalize_number,
     preprocess_event,
     stem,
@@ -283,3 +285,52 @@ class TestPreprocessEvent:
         for token in preprocess_text(text):
             if is_number(token):
                 assert is_canonical_number(token), token
+
+
+# delimiters and whitespace beside letters whose lowercase is longer (İ),
+# lands in ASCII (\u212a, the Kelvin sign) or depends on context (Σ), and
+# letters lowercasing leaves alone though they case-fold (ς, ſ, ß, ﬃ);
+# arbitrary characters fill the rest
+LOWERCASE_TEXT = st.text(
+    alphabet=st.sampled_from("&@=#," + WHITESPACE + "Σςİ\u212aſßﬃ" + "aS.'") | st.characters(),
+    max_size=40,
+)
+
+
+class TestMayYield:
+    @settings(max_examples=1000)
+    @given(LOWERCASE_TEXT)
+    @example("ΟΔΟΣ,X")
+    @example("AΣ'B")
+    @example("A\u3000Σ")
+    @example("\u212aELVIN ſS ﬃ İD")
+    def test_every_non_numeric_token_is_in_the_lowercased_text(self, text):
+        lowered = text.lower()
+        for token in preprocess_text(text):
+            if not is_number(token):
+                assert token in lowered, token
+                assert may_yield(text, token)
+
+    def test_numeric_token_always_may_be_yielded(self):
+        # "16.6" comes out as "16.60", which the text does not hold
+        assert preprocess_text("@CTDI@=#16.6#")[-1] == "16.60"
+        assert may_yield("@CTDI@=#16.6#", "16.60")
+        assert may_yield("", "16.60")
+
+    def test_text_without_the_token_cannot_yield_it(self):
+        assert not may_yield("@DLP@=#59.98#", "ctdi")
+        assert may_yield("@CTDI@=#16.66#", "ctdi")
+
+
+class TestFragmentMemo:
+    def test_lowercase_fragment_is_kept_as_the_same_object(self):
+        fragment = "".join(["miadu", "lt"])  # built at run time, so not interned
+        assert preprocess._normalize_fragment(fragment) is fragment
+
+    def test_never_exceeds_its_size(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_TOKEN_CACHE_SIZE", 4)
+        monkeypatch.setattr(preprocess, "_memo", preprocess._FragmentMemo())
+        raw = [f"Word{i} the {i}.5 Slices{i % 3}" for i in range(20)]
+        for text in raw + raw:
+            assert preprocess_text(text) == uncached_preprocess(reference_tokenize(text))
+            assert len(preprocess._memo) <= 4
