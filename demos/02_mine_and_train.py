@@ -30,10 +30,10 @@ def main():
     print(f"  {sorted(cluster.tokens)}\n")
 
     # train() runs the same mining and keeps the best-supported cluster
-    # that has a trigger state: the state token followed by a numeric
-    # token in the most lines. A cluster whose tokens are never followed
-    # by a number is passed over. The HMM is then estimated from the
-    # lines that carry the kept cluster.
+    # that reproduces the truth: its trigger is the state token followed
+    # by the event's truth value in the most lines. A cluster whose tokens
+    # are never followed by a truth value is passed over. The HMM is then
+    # estimated from the lines that carry the kept cluster.
     bundle = train(records, truth)
     model = bundle.hmm
     print(f"model: {len(model.states)} states, {len(model.emissions)} emission symbols")

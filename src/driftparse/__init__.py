@@ -24,10 +24,8 @@ from .evaluate import (
 from .hmm import (
     FitConfig,
     Hmm,
-    TriggerNotFoundError,
     baum_welch_fit,
     build_hmm,
-    find_trigger_state,
     sequence_loglikelihood,
     viterbi_decode,
 )

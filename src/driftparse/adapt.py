@@ -23,7 +23,6 @@ from .hmm import (
     FitConfig,
     Hmm,
     baum_welch_fit,
-    find_trigger_state,
     observation_sequences,
     state_usage,
     viterbi_decode,
@@ -65,13 +64,14 @@ def adapt_baum_welch(
 
     The adapted pattern depends only on the state_usage token counts of the
     new corpus: states used less than occupancy_floor times the mean usage
-    are dropped, and a dropped trigger is re-chosen among the kept states by
-    find_trigger_state.  The required tokens become the kept states, so a
-    token an earlier Viterbi adapt added is not kept; the trigger aliases
-    lose only the dropped states, and keep the trigger.  The Baum-Welch
-    refit does not affect the pattern; it only produces the model returned
-    here and saved into the bundle.
-    A floor that is negative or not finite is refused before the refit runs.
+    are dropped.  The required tokens become the kept states, so a token an
+    earlier Viterbi adapt added is not kept; the trigger aliases lose only
+    the dropped states.  A refit that would drop the trigger is refused
+    with a ValueError naming it: without a truth table there is no value
+    to choose another trigger by.  The Baum-Welch refit does not affect the
+    pattern; it only produces the model returned here and saved into the
+    bundle.  A floor that is negative or not finite, no kept state and a
+    dropped trigger are each refused before the refit runs.
     """
     if not new_corpus:
         raise ValueError("new_corpus must be non-empty")
@@ -80,19 +80,21 @@ def adapt_baum_welch(
     sequences = [s for s in observation_sequences(model.states, new_corpus) if s]
     if not sequences:
         raise ValueError("no state-relevant observations in new corpus")
-    fitted, trace = baum_welch_fit(model, sequences, config)
-    usage = state_usage(fitted.states, new_corpus)
+    usage = state_usage(model.states, new_corpus)
     mean_usage = sum(usage.values()) / len(usage)
     floor = occupancy_floor * mean_usage
     kept = frozenset(s for s, occ in usage.items() if occ >= floor)
     if not kept:
         raise ValueError("refit retained no state above the occupancy floor")
-    trigger = pattern.trigger
-    if trigger not in kept:
-        trigger = find_trigger_state(kept, new_corpus)
+    if pattern.trigger not in kept:
+        raise ValueError(
+            f"refit would drop the trigger {pattern.trigger!r}: it occurs {usage.get(pattern.trigger, 0)} "
+            f"times, below the occupancy floor {floor:g}, and without truth values adaptation "
+            "cannot choose another trigger"
+        )
     starved = usage.keys() - kept
-    aliases = (pattern.trigger_aliases - starved) | {trigger}
-    adapted = replace(pattern, required_tokens=kept, trigger=trigger, trigger_aliases=aliases)
+    adapted = replace(pattern, required_tokens=kept, trigger_aliases=pattern.trigger_aliases - starved)
+    fitted, trace = baum_welch_fit(model, sequences, config)
     report = AdaptReport(pattern, adapted, tuple(trace))
     return fitted, adapted, report
 

@@ -66,7 +66,6 @@ def cmd_gen(args) -> int:
         n_events=args.events,
         kpi_line_fraction=args.kpi_fraction,
         drift_profile=args.drift,
-        kpi_name=args.kpi,
     )
     records, truth = generate_corpus(config)
     out = Path(args.output)
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--drift", choices=(DRIFT_NONE, DRIFT_SYSTEM_B),
                    default=GeneratorConfig.drift_profile)
-    p.add_argument("--kpi", default=DEFAULT_KPI)
     p.add_argument("--kpi-fraction", type=float, default=GeneratorConfig.kpi_line_fraction)
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
@@ -204,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("truth")
     p.add_argument("--kpi", default=DEFAULT_KPI)
     p.add_argument("--threshold", type=int, default=None,
-                   help="mining threshold (default: number of truth rows)")
+                   help="mining threshold (default: number of truth rows of the KPI)")
     p.add_argument("--alias", action="append", help="additional trigger alias token")
     p.add_argument("-o", "--output", required=True, help="bundle output path")
     p.set_defaults(func=cmd_train)

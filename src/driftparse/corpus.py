@@ -68,7 +68,6 @@ class GeneratorConfig:
     n_events: int
     kpi_line_fraction: float = 0.35
     drift_profile: str = DRIFT_NONE
-    kpi_name: str = DEFAULT_KPI
     noise_profile: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -242,7 +241,7 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[EventRecord], KpiTabl
             event_type = "scan_preview" if is_echo else "scan"
             records.append(EventRecord(event_id, timestamp, event_type, text))
             if not is_echo:
-                truth.add(event_id, config.kpi_name, fields["ctdi"])
+                truth.add(event_id, DEFAULT_KPI, fields["ctdi"])
         else:
             event_type, template = _OTHER_TEMPLATES[rng.randrange(len(_OTHER_TEMPLATES))]
             text = template.format(a=f"{rng.uniform(0.1, 500.0):.1f}", b=rng.randrange(1000))
@@ -262,7 +261,6 @@ def write_manifest(path, config: GeneratorConfig, files: dict) -> None:
         "n_events": config.n_events,
         "kpi_line_fraction": config.kpi_line_fraction,
         "drift_profile": config.drift_profile,
-        "kpi_name": config.kpi_name,
         "noise_profile": {k: config.noise(k) for k in sorted(DEFAULT_NOISE_PROFILE)},
         "files": {name: file_digest(p) for name, p in sorted(files.items())},
     }

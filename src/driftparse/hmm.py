@@ -39,12 +39,12 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import compress, pairwise
 
 import numpy as np
 
-from .preprocess import TokenSequence, is_number
+from .preprocess import TokenSequence
 
 OOV_TOKEN = "<oov>"
 
@@ -60,10 +60,6 @@ _BATCH_SEQUENCES = 256
 # its back-pointers, one (W, N) array per level, W being at most the rows;
 # a larger group shares more prefixes, at more peak memory
 _DECODE_BATCH = 64
-
-
-class TriggerNotFoundError(ValueError):
-    """No state is ever followed by a numeric emission."""
 
 
 @dataclass(frozen=True)
@@ -208,9 +204,9 @@ def build_hmm(matching_lines: list[TokenSequence], state_tokens) -> Hmm:
         # a state followed by a non-state: the state_followers pairs whose
         # follower is not a state.  A follower that is itself a state token
         # is left out of the alphabet, though the observations keep it.
-        # Counting it too (ROADMAP item 1) moves the alphabet and refit
-        # iteration counts that perfbench/golden.json pins, so it waits for
-        # re-recorded goldens.
+        # Counting it too moves the alphabet and refit iteration counts that
+        # perfbench/golden.json pins, so it waits for a benchmark change
+        # that re-records the goldens.
         pair_counts.update(compress(pairwise(tokens), map(operator.gt, is_state, is_state[1:])))
 
     # each distinct run once, weighted by its lines; integer sums, so exact
@@ -506,20 +502,3 @@ def baum_welch_fit(
     fitted.validate()
     return fitted, trace
 
-
-def find_trigger_state(states, lines: list[TokenSequence]) -> str:
-    """The state token that precedes a numeric token in the most lines.
-
-    Ties break lexicographically on the state token.
-    """
-    state_set = frozenset(states)
-    # a call sees few distinct followers; the cache goes when the call returns
-    numeric = cache(is_number)
-    counts = {s: 0 for s in states}
-    for line in lines:
-        for s in {a for a, b in state_followers(line.tokens, state_set) if numeric(b)}:
-            counts[s] += 1
-    best = max(counts.values())
-    if best == 0:
-        raise TriggerNotFoundError("no state is followed by a numeric emission")
-    return min(s for s, n in counts.items() if n == best)

@@ -1,10 +1,11 @@
 """Executable parsing patterns: model states + trigger -> extracted values.
 
 A pattern matches a line when the line's token set contains every required
-token; the value is the numeric token immediately after the first
-occurrence of any trigger alias.  A match without a numeric follower
-yields nothing rather than scanning ahead, which would risk grabbing the
-next field's value.
+token; the value is the token immediately after the first occurrence of
+any trigger alias that is followed by a number.  Only the token right
+after an alias occurrence is read: a match in which no alias occurrence
+is followed by a number yields nothing rather than scanning further
+ahead, which would risk grabbing the next field's value.
 """
 
 from __future__ import annotations

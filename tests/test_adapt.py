@@ -116,6 +116,22 @@ class TestBaumWelchAdaptation:
         with pytest.raises(ValueError):
             adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, [])
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_refit_that_drops_the_trigger_is_refused_before_the_refit(self, seed, monkeypatch):
+        # drift renames the KPI key in every scan line: ctdi starves, and
+        # without truth values no other state may take its place
+        train_log, train_truth = generate_corpus(GeneratorConfig(seed=seed, n_events=600))
+        bundle = train(train_log, train_truth)
+        drifted, _ = generate_corpus(GeneratorConfig(seed=seed + 1000, n_events=400))
+        renamed = [replace(r, text=r.text.replace("@CTDI@=", "@CTDIvol@=")) for r in drifted]
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("the refit ran")
+
+        monkeypatch.setattr("driftparse.adapt.baum_welch_fit", no_refit)
+        with pytest.raises(ValueError, match=r"^refit would drop the trigger 'ctdi': it occurs 0 times"):
+            adapt_baum_welch(bundle.hmm, bundle.pattern, preprocess_corpus(renamed))
+
     @pytest.mark.parametrize("floor", [-1.0, float("nan"), float("inf")])
     def test_bad_occupancy_floor_rejected_before_the_refit(self, bundle_a, lines_b, floor, monkeypatch):
         def no_refit(*args, **kwargs):

@@ -14,7 +14,7 @@ from driftparse.bundle import load_bundle
 from driftparse.cli import build_parser, main
 from driftparse.corpus import DRIFT_NONE, DRIFT_SYSTEM_B, GeneratorConfig, file_digest, load_log
 from driftparse.hmm import FitConfig
-from driftparse.parsing import KpiTable
+from driftparse.parsing import DEFAULT_KPI, KpiTable
 from driftparse.pipeline import preprocess_corpus, train
 
 from .conftest import A_SEED, B_SEED
@@ -95,11 +95,12 @@ class TestTrain:
         truth.write_text("event_id,kpi,value\n")
         code, _, err = run(capsys, "train", str(workdir / "a/log.tsv"), str(truth), "-o", str(tmp_path / "m.json"))
         assert code == 1
-        assert err == "error: threshold would be zero: the truth table has no rows\n"
+        assert err == "error: threshold would be zero: the truth table has no ctdi rows\n"
 
     def test_status_cluster_on_top_is_passed_over(self, tmp_path, capsys):
-        # at seed 6 the status lines outnumber the scan lines, and no number
-        # follows "statu"; the scan cluster below it carries the trigger
+        # at seed 6 the status lines outnumber the scan lines, but their
+        # events have no truth value for a state to precede; the scan
+        # cluster below them carries the trigger
         code, _, _ = run(capsys, "gen", "--seed", "6", "--events", "1000", "-o", str(tmp_path / "d"))
         assert code == 0
         log, truth = str(tmp_path / "d/log.tsv"), str(tmp_path / "d/truth.csv")
@@ -262,6 +263,25 @@ class TestAdapt:
         assert all(DEFAULT_CONSENSUS_FRACTION <= share <= 1 for share in report["consensus"].values())
 
 
+    def test_refit_that_drops_the_trigger_writes_nothing(self, tmp_path, capsys):
+        # drift renames the KPI key in every scan line, so the refit starves ctdi
+        assert main(["gen", "--seed", "0", "--events", "600", "-o", str(tmp_path / "a")]) == 0
+        assert main(["gen", "--seed", "1000", "--events", "400", "-o", str(tmp_path / "b")]) == 0
+        log = tmp_path / "b/log.tsv"
+        log.write_text(log.read_text().replace("@CTDI@=", "@CTDIvol@="))
+        model = tmp_path / "model.json"
+        assert main(["train", str(tmp_path / "a/log.tsv"), str(tmp_path / "a/truth.csv"), "-o", str(model)]) == 0
+        capsys.readouterr()
+        out_bundle = tmp_path / "out/adapted.json"
+        code, out, err = run(
+            capsys, "adapt", str(model), str(log), "--strategy", "baum-welch", "-o", str(out_bundle),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: refit would drop the trigger 'ctdi':")
+        assert not out_bundle.exists()
+        assert not (tmp_path / "out/adapted.json.report.json").exists()
+
     @pytest.mark.parametrize("floor", ["-1", "nan"])
     def test_bad_occupancy_floor_writes_nothing(self, workdir, tmp_path, capsys, floor):
         out_bundle = tmp_path / "adapted.json"
@@ -291,7 +311,6 @@ class TestDefaults:
         config = GeneratorConfig(seed=1, n_events=10)
         assert args.kpi_fraction == config.kpi_line_fraction
         assert args.drift == config.drift_profile
-        assert args.kpi == config.kpi_name
         for drift in (DRIFT_NONE, DRIFT_SYSTEM_B):
             assert parser.parse_args(gen + ["--drift", drift]).drift == drift
         with pytest.raises(SystemExit):
@@ -300,7 +319,7 @@ class TestDefaults:
     def test_train_kpi_matches_library(self):
         args = build_parser().parse_args(["train", "log.tsv", "truth.csv", "-o", "model.json"])
         assert args.kpi == inspect.signature(train).parameters["kpi_name"].default
-        assert args.kpi == GeneratorConfig(seed=1, n_events=10).kpi_name
+        assert args.kpi == DEFAULT_KPI
 
 
 class TestInspect:

@@ -18,21 +18,21 @@ from driftparse.hmm import (
     SMOOTHING_EPSILON,
     FitConfig,
     Hmm,
-    TriggerNotFoundError,
     _expected_counts,
     _smooth_rows,
     baum_welch_fit,
     build_hmm,
     extend_alphabet,
-    find_trigger_state,
     observation_sequences,
     sequence_loglikelihood,
     state_followers,
     state_usage,
     viterbi_decode,
 )
-from driftparse.pipeline import preprocess_corpus
-from driftparse.preprocess import TokenSequence, is_number
+from driftparse.mining import MiningConfig, mine_clusters
+from driftparse.parsing import KpiTable
+from driftparse.pipeline import TrainingError, preprocess_corpus, train
+from driftparse.preprocess import EventRecord, TokenSequence
 
 from .decoding import decode_one
 
@@ -652,28 +652,42 @@ def reference_build_hmm(matching_lines, state_tokens):
     return Hmm(states, alphabet, ps, pt, pe)
 
 
-def reference_trigger_state(states, lines):
-    """find_trigger_state with an uncached numeric test of every follower."""
-    state_set = frozenset(states)
-    counts = {s: 0 for s in states}
-    for line in lines:
-        for s in {a for a, b in state_followers(line.tokens, state_set) if is_number(b)}:
-            counts[s] += 1
-    best = max(counts.values())
-    if best == 0:
-        raise TriggerNotFoundError("no state is followed by a numeric emission")
-    return min(s for s, n in counts.items() if n == best)
+def reference_trigger(records, truth, kpi_name="ctdi", threshold=None):
+    """train's trigger as a walk of every line position; TrainingError when train must fail.
+
+    Clusters come from mine_clusters, best first.  A state scores a line
+    when some position holds the state and the next one the line's truth
+    value of kpi_name; the first cluster with a score wins, and its
+    highest-scoring state, lowest token first.
+    """
+    values = {event_id: value for event_id, kpi, value in truth.rows if kpi == kpi_name}
+    threshold = len(values) if threshold is None else threshold
+    if threshold == 0:
+        return TrainingError
+    corpus = preprocess_corpus(records)
+    for cluster in mine_clusters(corpus, MiningConfig(threshold)).clusters:
+        scores = {s: 0 for s in cluster.tokens}
+        for line in corpus:
+            tokens = line.tokens
+            if line.event_id not in values or not cluster.tokens <= set(tokens):
+                continue
+            for s in cluster.tokens:
+                if any(tokens[i] == s and tokens[i + 1] == values[line.event_id] for i in range(len(tokens) - 1)):
+                    scores[s] += 1
+        best = max(scores.values())
+        if best:
+            return min(s for s in cluster.tokens if scores[s] == best)
+    return TrainingError
 
 
 # states include a number; lines put a state after a state, a state last,
 # and a numeric state after a state; followers include a negative number and
 # a dotted identifier, which is not a number
 ORACLE_STATES = ("a", "b", "1.00")
-ORACLE_CORPORA = st.lists(
-    st.lists(st.sampled_from(ORACLE_STATES + ("x", "2.00", "-5", "1.2.3", "0.60")), min_size=1, max_size=10),
-    min_size=1,
-    max_size=25,
-).map(lambda lines: [TokenSequence(f"e{i}", tuple(t)) for i, t in enumerate(lines)])
+ORACLE_LINES = st.lists(st.sampled_from(ORACLE_STATES + ("x", "2.00", "-5", "1.2.3", "0.60")), min_size=1, max_size=10)
+ORACLE_CORPORA = st.lists(ORACLE_LINES, min_size=1, max_size=25).map(
+    lambda lines: [TokenSequence(f"e{i}", tuple(t)) for i, t in enumerate(lines)]
+)
 
 
 def assert_same_model(model, reference):
@@ -683,37 +697,54 @@ def assert_same_model(model, reference):
         assert np.array_equal(getattr(model, name), getattr(reference, name)), name
 
 
-def trigger_or_error(states, lines, trigger):
+def trained_trigger(records, truth, kpi_name="ctdi", threshold=None):
     try:
-        return trigger(states, lines)
-    except TriggerNotFoundError:
-        return TriggerNotFoundError
+        return train(records, truth, kpi_name, threshold).pattern.trigger
+    except TrainingError:
+        return TrainingError
+
+
+# truth values: "-5" is stored as "-5.00", as preprocessing writes the
+# token "-5"; no line holds "9.00", so no state ever precedes it
+ORACLE_VALUES = ("1.00", "2.00", "-5", "0.60", "9.00")
 
 
 class TestTrainingOracles:
-    """build_hmm and find_trigger_state equal their per-line references exactly."""
+    """build_hmm and train's trigger choice equal their per-line references exactly."""
 
     @given(ORACLE_CORPORA, st.sets(st.sampled_from(ORACLE_STATES), min_size=1))
     def test_build_hmm_equals_reference(self, corpus, states):
         assert_same_model(build_hmm(corpus, states), reference_build_hmm(corpus, states))
 
-    @given(ORACLE_CORPORA, st.sets(st.sampled_from(ORACLE_STATES), min_size=1))
-    def test_trigger_equals_reference(self, corpus, states):
-        found = trigger_or_error(states, corpus, find_trigger_state)
-        assert found == trigger_or_error(states, corpus, reference_trigger_state)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ORACLE_LINES, min_size=1, max_size=5), st.data())
+    def test_trigger_equals_reference(self, shapes, data):
+        # lines repeat a few shapes, so that clusters reach thresholds above
+        # one; each line may hold a ctdi value and a dlp value, and only
+        # ctdi is trained
+        picks = data.draw(st.lists(st.sampled_from(range(len(shapes))), min_size=1, max_size=25))
+        records = [EventRecord(f"e{i}", "t", "scan", " ".join(shapes[k])) for i, k in enumerate(picks)]
+        rows = [
+            (record.event_id, kpi, value)
+            for record in records
+            for kpi in ("ctdi", "dlp")
+            if (value := data.draw(st.none() | st.sampled_from(ORACLE_VALUES))) is not None
+        ]
+        truth = KpiTable(rows)
+        threshold = data.draw(st.sampled_from((None, 1, 2, 3)))
+        assert trained_trigger(records, truth, threshold=threshold) == reference_trigger(records, truth, threshold=threshold)
 
     def test_numeric_state_after_a_state(self):
         corpus = [TokenSequence("e0", ("a", "1.00", "x")), TokenSequence("e1", ("b", "1.00", "2.00"))]
         states = ("a", "b", "1.00")
-        assert find_trigger_state(states, corpus) == reference_trigger_state(states, corpus) == "1.00"
         assert_same_model(build_hmm(corpus, states), reference_build_hmm(corpus, states))
 
-    def test_trained_corpus_with_numeric_states(self, bundle_a, lines_a):
+    def test_trained_corpus_with_numeric_states(self, corpus_a, bundle_a, lines_a):
         states = bundle_a.hmm.states
         assert {"0.60", "1.00", "60.00"} <= set(states)
         matching = [line for line in lines_a if set(states) <= line.token_set()]
         assert_same_model(build_hmm(matching, states), reference_build_hmm(matching, states))
-        assert find_trigger_state(states, matching) == reference_trigger_state(states, matching)
+        assert bundle_a.pattern.trigger == reference_trigger(*corpus_a) == "ctdi"
 
 
 class TestBaumWelch:
@@ -781,37 +812,6 @@ class TestBaumWelch:
         )
         fitted, _ = baum_welch_fit(model, [["e0", "e1"]], FitConfig(max_iterations=3))
         fitted.validate()
-
-
-class TestTrigger:
-    def lines(self, *token_lists):
-        return [TokenSequence(f"e{i}", tuple(t)) for i, t in enumerate(token_lists)]
-
-    def test_picks_most_frequent_numeric_follower(self):
-        corpus = self.lines(
-            ["kv", "120.00", "ctdi", "16.66"],
-            ["ctdi", "3.20"],
-        )
-        assert find_trigger_state(("ctdi", "kv"), corpus) == "ctdi"
-
-    def test_tie_breaks_lexicographically(self):
-        corpus = self.lines(["beta", "1.00", "alpha", "2.00"])
-        assert find_trigger_state(("beta", "alpha"), corpus) == "alpha"
-
-    def test_counts_lines_not_occurrences(self):
-        corpus = self.lines(
-            ["a", "1.00", "a", "2.00", "a", "3.00"],
-            ["b", "1.00"],
-            ["b", "2.00"],
-        )
-        assert find_trigger_state(("a", "b"), corpus) == "b"
-
-    def test_no_numeric_follower_raises(self):
-        with pytest.raises(TriggerNotFoundError):
-            find_trigger_state(("a",), self.lines(["a", "word"]))
-
-    def test_trained_model_trigger_is_kpi_token(self, bundle_a):
-        assert bundle_a.pattern.trigger == "ctdi"
 
 
 def test_import_needs_only_numpy_beyond_the_standard_library():
