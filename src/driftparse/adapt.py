@@ -111,13 +111,13 @@ def adapt_viterbi(
     DEFAULT_COVERAGE_FRACTION of the pattern's states, otherwise unrelated lines
     that merely share a token or two would dilute every consensus.
 
-    A decoded path depends only on the line's encoding, so each voting line
-    is encoded once and the distinct encodings go to one viterbi_decode
-    call, which steps each of their distinct prefixes once; on a drifted
-    log most unseen values encode as <oov>, and the 599 voting lines of the
-    benchmark's Viterbi workload at seed 0 hold 204 distinct encodings of
-    9,166 symbols but 3,458 distinct prefixes.  Each line still votes with
-    its own raw tokens, never with their encoding.
+    The voting lines' observations go to one viterbi_decode call, which
+    decodes each distinct encoding once and steps each of their distinct
+    prefixes once; on a drifted log most unseen values encode as <oov>, and
+    the 599 voting lines of the benchmark's Viterbi workload at seed 0 hold
+    204 distinct encodings of 9,166 symbols but 3,458 distinct prefixes.
+    Each line still votes with its own raw tokens, never with their
+    encoding.
 
     On the corpora the tests check (acceptance 4's drifted log and generated
     system_b logs of seeds 0-9), the adapted pattern does not depend on the
@@ -132,25 +132,14 @@ def adapt_viterbi(
         raise ValueError("consensus_fraction must lie in (0, 1]")
     state_set = frozenset(model.states)
     min_states = DEFAULT_COVERAGE_FRACTION * len(state_set)
-    sequences = observation_sequences(model.states, new_corpus)
-    # each distinct encoding under its bytes, and each voting line's tokens with that key
-    encodings = {}
-    voters: list[tuple[list[str], bytes]] = []
-    for line, obs in zip(new_corpus, sequences):
-        if not obs or len(line.token_set() & state_set) < min_states:
-            continue
-        encoded = model.encode(obs)
-        key = encoded.tobytes()
-        encodings.setdefault(key, encoded)
-        voters.append((obs, key))
+    covering = [line for line in new_corpus if len(line.token_set() & state_set) >= min_states]
+    voters = [obs for obs in observation_sequences(model.states, covering) if obs]
     voting = len(voters)
     if voting == 0:
         raise ValueError("no decodable lines in new corpus")
-    decoded = viterbi_decode(model, list(encodings.values()))
-    paths = {key: path for key, (path, _) in zip(encodings, decoded)}
     pair_line_counts: Counter[tuple[str, int]] = Counter()
-    for obs, key in voters:
-        pair_line_counts.update(set(zip(obs, paths[key])))
+    for obs, (path, _) in zip(voters, viterbi_decode(model, voters)):
+        pair_line_counts.update(set(zip(obs, path)))
     shares: dict[str, float] = {}
     for (token, _), count in pair_line_counts.items():
         share = count / voting

@@ -191,9 +191,12 @@ def document_to_bundle(doc: dict) -> ModelBundle:
 
 
 def load_bundle(path) -> ModelBundle:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"not valid JSON: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"invalid UTF-8 byte {data[exc.start]:#04x} at byte offset {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"not valid JSON: {exc}") from None
     return document_to_bundle(doc)

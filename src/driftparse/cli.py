@@ -109,6 +109,10 @@ def cmd_parse(args) -> int:
 
 
 def cmd_adapt(args) -> int:
+    report_path = Path(args.report or (str(args.output) + ".report.json"))
+    if report_path.resolve() == Path(args.output).resolve():
+        raise CliError(f"--report and -o name the same file {args.output}: "
+                       "the report would overwrite the bundle")
     bundle = load_bundle(args.bundle)
     records = _load_records(args.log)
     corpus = preprocess_corpus(records)
@@ -140,7 +144,6 @@ def cmd_adapt(args) -> int:
             json.dump(report_doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    report_path = Path(args.report or (str(args.output) + ".report.json"))
     _atomic_write(report_path, write_report)
     before, after = report.pattern_before, report.pattern_after
     print(f"strategy: {args.strategy}")

@@ -19,15 +19,15 @@ The Baum-Welch E-step runs over batches of equal-length sequences:
 _length_batches groups the sequences by length and stacks each group in
 batches of at most _BATCH_SEQUENCES, so a step costs a few numpy calls per
 batch rather than per sequence, and the batch arrays stay small however
-large the corpus.  viterbi_decode is the one Viterbi path: it cuts its
-rows, sorted by their bytes, into groups of at most _DECODE_BATCH and
-decodes each group over the prefix tree of its rows, so rows that share a
-prefix share its steps.  A step fills one (W, N, N) score buffer for the W
-distinct prefixes of one length and takes one argmax.  A single sequence
-is a group of one, so the oracle tests check the very code adaptation
-runs.  A path depends only on the encoded sequence, so adapt_viterbi
-decodes each distinct encoding once and reuses the path for every line
-that encodes the same way.
+large the corpus.  viterbi_decode is the one Viterbi path.  A path
+depends only on the encoded sequence, so it encodes each token sequence
+once and decodes each distinct encoding once, however many sequences
+share it.  It cuts the distinct encodings, sorted by their bytes, into
+groups of at most _DECODE_BATCH and decodes each group over the prefix
+tree of its rows, so rows that share a prefix share its steps.  A step
+fills one (W, N, N) score buffer for the W distinct prefixes of one length
+and takes one argmax.  A single sequence is a group of one, so the oracle
+tests check the very code adaptation runs.
 
 Unknown symbols at inference time map to a reserved out-of-vocabulary
 emission column that carries only smoothing-floor mass; drifted logs
@@ -56,9 +56,9 @@ _ROW_SUM_ATOL = 1e-9
 # most sequences one E-step batch stacks: bounds its (T, B, N) arrays
 _BATCH_SEQUENCES = 256
 
-# most rows one Viterbi group holds: bounds its (W, N, N) score buffer and
-# its back-pointers, one (W, N) array per level, W being at most the rows;
-# a larger group shares more prefixes, at more peak memory
+# most distinct encodings one Viterbi group holds: bounds its (W, N, N)
+# score buffer and its back-pointers, one (W, N) array per level, W being
+# at most the rows; a larger group shares more prefixes, at more peak memory
 _DECODE_BATCH = 64
 
 
@@ -263,19 +263,17 @@ def sequence_loglikelihood(model: Hmm, observations: list[str]) -> float:
 
 
 def _length_batches(encoded: list[np.ndarray], bound: int):
-    """Yield (indices, batch): equal-length sequences stacked, at most bound per batch.
+    """Yield batches of equal-length sequences stacked, at most bound per batch.
 
     Groups follow the order in which their lengths first occur, and each
-    group is cut in order into batches of at most bound rows; indices are
-    the positions in encoded of the batch's rows.
+    group is cut in order into batches of at most bound rows.
     """
-    by_length: dict[int, list[int]] = {}
-    for i, obs in enumerate(encoded):
-        by_length.setdefault(len(obs), []).append(i)
+    by_length: dict[int, list[np.ndarray]] = {}
+    for obs in encoded:
+        by_length.setdefault(len(obs), []).append(obs)
     for group in by_length.values():
         for start in range(0, len(group), bound):
-            indices = group[start : start + bound]
-            yield indices, np.stack([encoded[i] for i in indices])
+            yield np.stack(group[start : start + bound])
 
 
 def _prefix_tree(symbols: np.ndarray, live: np.ndarray):
@@ -368,26 +366,31 @@ def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], fl
     return results
 
 
-def viterbi_decode(model: Hmm, encoded: list[np.ndarray]) -> list[tuple[list[int], float]]:
+def viterbi_decode(model: Hmm, sequences: list[list[str]]) -> list[tuple[list[int], float]]:
     """Most probable state path and its joint log-probability, per sequence.
 
-    encoded holds Hmm.encode rows; the result holds one (path, log-probability)
-    per row, in the same order.  The rows are sorted by their bytes, so rows
-    that share a prefix lie side by side, and cut in that order into groups
-    of at most _DECODE_BATCH; each group is decoded over the prefix tree of
-    its rows (_decode_tree), one step per distinct prefix.  A row's result
-    is the same bit for bit whatever group it shares.  Ties are broken
-    toward the lowest state index at every step.
+    The result holds one (path, log-probability) per token sequence, in the
+    same order.  Each sequence is encoded once (Hmm.encode), and each
+    distinct encoding is decoded once: sequences that encode alike, such as
+    lines whose unseen values all map to <oov>, share one result object,
+    which callers only read.  The distinct encodings are sorted by their
+    bytes, so those that share a prefix lie side by side, and cut in that
+    order into groups of at most _DECODE_BATCH; each group is decoded over
+    the prefix tree of its rows (_decode_tree), one step per distinct
+    prefix.  A result is the same bit for bit whatever group it shares.
+    Ties are broken toward the lowest state index at every step.
     """
-    if not all(len(obs) for obs in encoded):
+    if not all(sequences):
         raise ValueError("observation sequence must be non-empty")
-    order = sorted(range(len(encoded)), key=lambda i: encoded[i].tobytes())
-    results = [None] * len(encoded)
-    for start in range(0, len(order), _DECODE_BATCH):
-        indices = order[start : start + _DECODE_BATCH]
-        for i, result in zip(indices, _decode_tree(model, [encoded[i] for i in indices])):
-            results[i] = result
-    return results
+    # a row's bytes are its key, and np.frombuffer reads the row back from them
+    keys = [model.encode(obs).tobytes() for obs in sequences]
+    ordered = sorted(set(keys))
+    results = {}
+    for start in range(0, len(ordered), _DECODE_BATCH):
+        group = ordered[start : start + _DECODE_BATCH]
+        rows = [np.frombuffer(key, dtype=np.intp) for key in group]
+        results.update(zip(group, _decode_tree(model, rows)))
+    return [results[key] for key in keys]
 
 
 def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
@@ -408,7 +411,7 @@ def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
     # one contiguous row per symbol; nothing is copied for a model
     # re-estimated from these counts, whose pe is the returned pe_acc.T
     pe_by_symbol = np.ascontiguousarray(model.pe.T)
-    for _, batch in _length_batches(encoded, _BATCH_SEQUENCES):
+    for batch in _length_batches(encoded, _BATCH_SEQUENCES):
         emit = pe_by_symbol[batch.T]
         alpha, scale = _forward(model, emit)
         if len(alpha) < len(emit):

@@ -5,5 +5,5 @@ from driftparse.hmm import viterbi_decode
 
 def decode_one(model, observations):
     """The (path, log-probability) of one token sequence, decoded as a group of one."""
-    [result] = viterbi_decode(model, [model.encode(observations)])
+    [result] = viterbi_decode(model, [observations])
     return result

@@ -182,9 +182,9 @@ class TestViterbiAdaptation:
         real_decode = driftparse.adapt.viterbi_decode
         real_group, real_tree = driftparse.hmm._decode_tree, driftparse.hmm._prefix_tree
 
-        def decode_spy(m, encoded):
-            calls.append([obs.tobytes() for obs in encoded])
-            return real_decode(m, encoded)
+        def decode_spy(m, sequences):
+            calls.append(sequences)
+            return real_decode(m, sequences)
 
         def group_spy(m, rows):
             groups.append([tuple(row.tolist()) for row in rows])
@@ -199,14 +199,17 @@ class TestViterbiAdaptation:
         monkeypatch.setattr(driftparse.hmm, "_decode_tree", group_spy)
         monkeypatch.setattr(driftparse.hmm, "_prefix_tree", tree_spy)
         _, _, report = adapt_viterbi(model, bundle_a.pattern, lines_b)
-        distinct = {model.encode(obs).tobytes() for obs in voting}
+        # one call takes every voting line's own tokens
         [decoded] = calls
-        assert set(decoded) == distinct
-        assert len(decoded) == len(distinct) < len(voting) == report.voting_lines
+        assert decoded == voting
+        assert len(decoded) == report.voting_lines
+        # the groups hold each distinct encoding once
+        distinct = {model.encode(obs).tobytes() for obs in voting}
+        grouped = [np.array(row, dtype=np.intp).tobytes() for group in groups for row in group]
+        assert sorted(grouped) == sorted(distinct)
+        assert len(grouped) == len(distinct) < len(voting)
         # the groups cut the distinct encodings into as few bounded groups as can hold them
         bound = driftparse.hmm._DECODE_BATCH
-        grouped = [np.array(row, dtype=np.intp).tobytes() for group in groups for row in group]
-        assert sorted(grouped) == sorted(decoded)
         assert all(1 <= len(group) <= bound for group in groups)
         assert len(groups) == -(-len(distinct) // bound) > 1
         # level t of a group's tree steps each distinct prefix of length t + 1 once
@@ -239,6 +242,31 @@ class TestViterbiAdaptation:
         assert adapted.required_tokens == {"s0", "s1", "x", "y"}
         assert report.voting_lines == 2
         assert report.consensus == (("x", 1.0), ("y", 1.0))
+
+    def test_lines_that_encode_alike_decode_once_and_vote_with_their_own_tokens(self, monkeypatch):
+        # u1 and u2 are unseen, so both lines encode as [<oov>, y]
+        model = Hmm(
+            ("s0", "s1"),
+            ("x", "y", OOV_TOKEN),
+            np.array([0.5, 0.5]),
+            np.array([[0.5, 0.5], [0.5, 0.5]]),
+            np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05]]),
+        )
+        pattern = ParsingPattern(frozenset(model.states), "s0", "ctdi", frozenset({"s0"}))
+        lines = [TokenSequence("e1", ("s0", "u1", "s1", "y")), TokenSequence("e2", ("s0", "u2", "s1", "y"))]
+        rows = []
+        real_group = driftparse.hmm._decode_tree
+
+        def group_spy(m, group):
+            rows.extend(row.tolist() for row in group)
+            return real_group(m, group)
+
+        monkeypatch.setattr(driftparse.hmm, "_decode_tree", group_spy)
+        _, adapted, report = adapt_viterbi(model, pattern, lines, consensus_fraction=0.5)
+        assert rows == [[2, 1]]
+        assert report.voting_lines == 2
+        assert report.consensus == (("u1", 0.5), ("u2", 0.5), ("y", 1.0))
+        assert adapted.required_tokens == {"s0", "s1", "u1", "u2", "y"}
 
     def test_pattern_equals_anchored_vote(self, bundle_a, lines_b, adapted_vit):
         _, pattern, _ = adapted_vit

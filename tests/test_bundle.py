@@ -199,6 +199,12 @@ class TestValidation:
         with pytest.raises(BundleError, match="JSON"):
             load_bundle(path)
 
+    def test_invalid_utf8_names_the_byte_offset(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format_version": "\xff"}')
+        with pytest.raises(BundleError, match="invalid UTF-8 byte 0xff at byte offset 20"):
+            load_bundle(path)
+
     def test_wrong_version(self, bundle_a):
         doc = doc_of(bundle_a)
         doc["format_version"] = 99

@@ -282,6 +282,17 @@ class TestAdapt:
         assert not out_bundle.exists()
         assert not (tmp_path / "out/adapted.json.report.json").exists()
 
+    def test_report_path_equal_to_the_bundle_path_is_refused(self, workdir, tmp_path, capsys):
+        out_bundle = tmp_path / "adapted.json"
+        code, out, err = run(
+            capsys, "adapt", str(workdir / "model.json"), str(workdir / "b/log.tsv"),
+            "--strategy", "viterbi", "-o", str(out_bundle), "--report", str(tmp_path / "." / "adapted.json"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --report and -o name the same file") and str(out_bundle) in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("floor", ["-1", "nan"])
     def test_bad_occupancy_floor_writes_nothing(self, workdir, tmp_path, capsys, floor):
         out_bundle = tmp_path / "adapted.json"

@@ -504,7 +504,7 @@ class TestViterbi:
         # 1-6 rows of one length decode as one group; a row's result must not
         # depend on the rows beside it
         model, rows = model_rows
-        batched = viterbi_decode(model, [model.encode(row) for row in rows])
+        batched = viterbi_decode(model, rows)
         assert len(batched) == len(rows)
         for row, result in zip(rows, batched):
             assert result == decode_one(model, row)
@@ -526,7 +526,7 @@ class TestViterbi:
         with pytest.MonkeyPatch.context() as patch:
             if bound is not None:
                 patch.setattr(driftparse.hmm, "_DECODE_BATCH", bound)
-            decoded = viterbi_decode(model, [model.encode(row) for row in rows])
+            decoded = viterbi_decode(model, rows)
         assert len(decoded) == len(rows)
         for row, result in zip(rows, decoded):
             assert result == decode_one(model, row)
@@ -540,14 +540,21 @@ class TestViterbi:
         )
         sequences = [["e0", "e1", "e1"], ["e1"], ["e1", "e0", "e0"], ["e0", "e1"], ["e1", "e1", "e1"]]
         monkeypatch.setattr(driftparse.hmm, "_DECODE_BATCH", 2)
-        decoded = viterbi_decode(model, [model.encode(seq) for seq in sequences])
+        decoded = viterbi_decode(model, sequences)
         assert decoded == [two_reduction_viterbi(model, seq) for seq in sequences]
+
+    def test_sequences_that_encode_alike_share_one_result(self):
+        model = make_hmm([1.0], [[1.0]], [[0.6, 0.4]], emissions=("x", OOV_TOKEN))
+        first, second, third = viterbi_decode(model, [["x", "u1"], ["x", "u2"], ["x", "x"]])
+        assert first is second
+        assert first == decode_one(model, ["x", "u1"])
+        assert third == decode_one(model, ["x", "x"])
 
     def test_empty_sequence_rejected(self):
         model = make_hmm([1.0], [[1.0]], [[0.6, 0.4]], emissions=("x", OOV_TOKEN))
         assert viterbi_decode(model, []) == []
         with pytest.raises(ValueError, match="non-empty"):
-            viterbi_decode(model, [model.encode(["x"]), model.encode([])])
+            viterbi_decode(model, [["x"], []])
 
     def test_tie_breaks_to_lowest_index(self):
         model = make_hmm(
