@@ -9,7 +9,7 @@ contrast is the point:
 * Viterbi re-decoding adds tokens that consistently align to the same
   state, so the pattern over-restricts: hit rate collapses.
 
-Run:  python3 demos/03_drift_adaptation.py   (takes ~30 s)
+Run:  python3 demos/03_drift_adaptation.py   (under 1 s on a 2-CPU machine)
 """
 
 from driftparse.adapt import adapt_baum_welch, adapt_viterbi

@@ -144,9 +144,7 @@ def _float_row(node, path: str, width: int) -> np.ndarray:
     return row
 
 
-def _float_matrix(values, path: str, width: int) -> np.ndarray:
-    if not isinstance(values, list):
-        raise BundleError(f"expected array at {path}")
+def _float_matrix(values: list, path: str, width: int) -> np.ndarray:
     matrix = np.empty((len(values), width))
     for i, row in enumerate(values):
         matrix[i] = _float_row(row, f"{path}[{i}]", width)

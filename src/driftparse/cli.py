@@ -51,6 +51,19 @@ def _atomic_write(path: Path, writer) -> None:
         raise
 
 
+def _refuse_overwrite(flag, output, *others) -> None:
+    """Raise CliError when the output path names another file of the run.
+
+    others are (name, path) pairs; paths are compared after Path.resolve(),
+    so two spellings of one file match.  Commands call it before they read
+    anything, so a refused run writes nothing.
+    """
+    target = Path(output).resolve()
+    for name, path in others:
+        if Path(path).resolve() == target:
+            raise CliError(f"{flag} and {name} name the same file {path}: refusing to overwrite it")
+
+
 def _load_records(path):
     result = load_log(path)
     for lineno, reason, _ in result.rejects:
@@ -81,6 +94,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _refuse_overwrite("-o", args.output, ("the log", args.log), ("the truth table", args.truth))
     records = _load_records(args.log)
     truth = load_kpi_table(args.truth)
     bundle = train(
@@ -100,6 +114,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    _refuse_overwrite("-o", args.output, ("the bundle", args.bundle), ("the log", args.log))
     bundle = load_bundle(args.bundle)
     records = _load_records(args.log)
     table = parse_records(bundle.pattern, records)
@@ -110,9 +125,11 @@ def cmd_parse(args) -> int:
 
 def cmd_adapt(args) -> int:
     report_path = Path(args.report or (str(args.output) + ".report.json"))
-    if report_path.resolve() == Path(args.output).resolve():
-        raise CliError(f"--report and -o name the same file {args.output}: "
-                       "the report would overwrite the bundle")
+    # -o may name the input bundle: the output is a bundle too
+    _refuse_overwrite("-o", args.output, ("the log", args.log))
+    _refuse_overwrite(
+        "--report", report_path, ("the bundle", args.bundle), ("the log", args.log), ("-o", args.output)
+    )
     bundle = load_bundle(args.bundle)
     records = _load_records(args.log)
     corpus = preprocess_corpus(records)
@@ -156,6 +173,8 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.csv:
+        _refuse_overwrite("--csv", args.csv, ("the parsed table", args.parsed), ("the truth table", args.truth))
     parsed = load_kpi_table(args.parsed)
     truth = load_kpi_table(args.truth)
     cm = confusion(parsed, truth, args.universe)

@@ -24,10 +24,12 @@ depends only on the encoded sequence, so it encodes each token sequence
 once and decodes each distinct encoding once, however many sequences
 share it.  It cuts the distinct encodings, sorted by their bytes, into
 groups of at most _DECODE_BATCH and decodes each group over the prefix
-tree of its rows, so rows that share a prefix share its steps.  A step
-fills one (W, N, N) score buffer for the W distinct prefixes of one length
-and takes one argmax.  A single sequence is a group of one, so the oracle
-tests check the very code adaptation runs.
+tree of its rows, so rows that share a prefix share its steps.  The tree
+is read off neighbouring rows: a row shares the node of the row before it
+at each level while the two agree, and the byte order puts the rows that
+share a prefix side by side.  A step fills one (W, N, N) score buffer for
+the W nodes of one level and takes one argmax.  A single sequence is a
+group of one, so the oracle tests check the very code adaptation runs.
 
 Unknown symbols at inference time map to a reserved out-of-vocabulary
 emission column that carries only smoothing-floor mass; drifted logs
@@ -276,57 +278,54 @@ def _length_batches(encoded: list[np.ndarray], bound: int):
             yield np.stack(group[start : start + bound])
 
 
-def _prefix_tree(symbols: np.ndarray, live: np.ndarray):
-    """Levels of the prefix tree of a group's rows, and each row's last node.
+def _prefix_tree(symbols: np.ndarray, alive: np.ndarray):
+    """The prefix tree of a group's rows, read off each row and the row before it.
 
-    symbols is (T, G): column g holds row g, the rows sorted longest first
-    and padded after their end, and live[t] counts the rows longer than t,
-    so the rows that reach level t are the first live[t] columns.
-    levels[t] is a pair of arrays (parent, symbol) with one entry, or node,
-    per distinct prefix of length t + 1, in ascending (parent, symbol)
-    order: the index of its prefix of length t in levels[t - 1] (0 at level
-    0) and its last symbol, an emission index, so below 2**32.  node[g] is
-    the index of row g's own node in the level where the row ends.
+    symbols is (T, G): column g holds row g, padded after its end, and
+    alive[t, g] is true while row g is longer than t.  Row g starts a node
+    at level t unless row g - 1 is alive there and equal to row g on levels
+    0..t; otherwise it shares row g - 1's node.  starts[t, g] marks the rows
+    that start a node at level t, and node[t, g] is the index, among the
+    nodes of level t, of the node that row g reaches there (meaningful
+    while the row is alive); the parent of a node is node[t - 1] of its
+    first row.  Each node is a prefix of length t + 1 of its rows, so any
+    row order gives a correct tree; rows sorted so that those sharing a
+    prefix lie side by side give each distinct prefix exactly one node.
     """
-    node = np.zeros(symbols.shape[1], dtype=np.intp)
-    levels = []
-    for t in range(len(symbols)):
-        live_now = live[t]
-        keys = node[:live_now] << 32 | symbols[t, :live_now]
-        prefixes, node[:live_now] = np.unique(keys, return_inverse=True)
-        levels.append((prefixes >> 32, prefixes & 0xFFFFFFFF))
-    return levels, node
+    same = np.zeros_like(alive)
+    same[:, 1:] = alive[:, :-1] & (symbols[:, 1:] == symbols[:, :-1])
+    starts = alive & ~np.logical_and.accumulate(same, axis=0)
+    return starts, np.cumsum(starts, axis=1) - 1
 
 
 def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], float]]:
-    """Viterbi over a group of encoded rows, one step per distinct prefix.
+    """Viterbi over a group of encoded rows, one step per node of their prefix tree.
 
-    Rows that share a prefix share its steps: level t of the prefix tree
-    (_prefix_tree) holds the group's distinct prefixes of length t + 1, and
-    each is stepped once from the scores of its parent.  scores[w, j, i] is
-    node w's best score of reaching state j from state i, so one argmax over
-    the last axis gives every back-pointer of a level.  The best score is
-    then read at that argmax through a flat index instead of reducing a
-    second time: the value at the first argmax is the maximum bit for bit,
-    as the log tables hold no NaN (validate refuses non-finite
-    probabilities).  A row takes its last state and log-probability at the
-    level where it ends, and one back-trace over the parent arrays walks
-    every row's path at once.
+    Rows that share a node share its steps: level t of the prefix tree
+    (_prefix_tree) holds prefixes of length t + 1, and each node is stepped
+    once from the scores of its parent.  scores[w, j, i] is node w's best
+    score of reaching state j from state i, so one argmax over the last
+    axis gives every back-pointer of a level.  The best score is then read
+    at that argmax through a flat index instead of reducing a second time:
+    the value at the first argmax is the maximum bit for bit, as the log
+    tables hold no NaN (validate refuses non-finite probabilities).  A row
+    takes its last state and log-probability at the level where it ends,
+    and one back-trace walks every row alive at a level at once.  The rows
+    are decoded in the order given, and each result is the same bit for bit
+    in any order; an order that puts rows sharing a prefix side by side
+    only shares more steps.
     """
     log_ps, log_pt, log_pe_by_symbol = model._log_tables
     log_pt_to_from = np.ascontiguousarray(log_pt.T)
     n = len(model.states)
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    by_length = np.argsort(-lengths, kind="stable")
-    lengths = lengths[by_length]
-    longest = lengths[0]
-    # live[t] rows are longer than t; live[longest] is 0
-    live = np.count_nonzero(lengths[:, None] > np.arange(longest + 1), axis=0)
+    longest = lengths.max()
+    alive = np.arange(longest)[:, None] < lengths
     symbols = np.zeros((longest, len(rows)), dtype=np.intp)
-    symbols.T[np.arange(longest) < lengths[:, None]] = np.concatenate([rows[g] for g in by_length])
-    levels, node = _prefix_tree(symbols, live)
+    symbols.T[alive.T] = np.concatenate(rows)
+    starts, node = _prefix_tree(symbols, alive)
 
-    width = max(len(parent) for parent, _ in levels)
+    width = starts.sum(axis=1).max()
     scores = np.empty((width, n, n))
     # flat position of scores[w, j, 0]; adding a back-pointer i gives scores[w, j, i]
     offsets = np.arange(width * n).reshape(width, n) * n
@@ -334,36 +333,34 @@ def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], fl
     backs = [None]  # level 0 has no parent to point back to
     last = np.empty(len(rows), dtype=np.intp)
     logp = np.empty(len(rows))
-    for t, (parent, symbol) in enumerate(levels):
+    for t in range(longest):
+        first = np.flatnonzero(starts[t])
         if t == 0:
-            delta = log_ps + log_pe_by_symbol[symbol]
+            delta = log_ps + log_pe_by_symbol[symbols[0, first]]
         else:
-            nodes = len(parent)
+            nodes = len(first)
             step = scores[:nodes]
-            np.add(delta[parent][:, None, :], log_pt_to_from, out=step)
+            np.add(delta[node[t - 1, first]][:, None, :], log_pt_to_from, out=step)
             back = step.argmax(axis=2)
             np.add(back, offsets[:nodes], out=flat[:nodes])
             delta = step.take(flat[:nodes])
-            delta += log_pe_by_symbol[symbol]
+            delta += log_pe_by_symbol[symbols[t, first]]
             backs.append(back)
-        ending = slice(live[t + 1], live[t])
-        if ending.start < ending.stop:
-            final = delta[node[ending]]
-            last[ending] = final.argmax(axis=1)
-            logp[ending] = final.max(axis=1)
+        ending = np.flatnonzero(lengths == t + 1)
+        final = delta[node[t, ending]]
+        last[ending] = final.argmax(axis=1)
+        logp[ending] = final.max(axis=1)
 
     # a row joins the back-trace at the level where it ends
     paths = np.empty((longest, len(rows)), dtype=np.intp)
     for t in range(longest - 1, 0, -1):
-        live_now = live[t]
-        paths[t, :live_now] = last[:live_now]
-        last[:live_now] = backs[t][node[:live_now], last[:live_now]]
-        node[:live_now] = levels[t][0][node[:live_now]]
+        now = alive[t]
+        paths[t, now] = last[now]
+        last[now] = backs[t][node[t, now], last[now]]
     paths[0] = last
-    results = [None] * len(rows)
-    for g, path, length, score in zip(by_length.tolist(), paths.T.tolist(), lengths.tolist(), logp.tolist()):
-        results[g] = (path[:length], score)
-    return results
+    return [
+        (path[:length], score) for path, length, score in zip(paths.T.tolist(), lengths.tolist(), logp.tolist())
+    ]
 
 
 def viterbi_decode(model: Hmm, sequences: list[list[str]]) -> list[tuple[list[int], float]]:

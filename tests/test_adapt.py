@@ -132,6 +132,16 @@ class TestBaumWelchAdaptation:
         with pytest.raises(ValueError, match=r"^refit would drop the trigger 'ctdi': it occurs 0 times"):
             adapt_baum_welch(bundle.hmm, bundle.pattern, preprocess_corpus(renamed))
 
+    def test_corpus_without_state_observations_rejected(self, bundle_a):
+        # no line holds a state token followed by another token
+        lines = [TokenSequence("e1", ("x", "y")), TokenSequence("e2", ("ctdi",))]
+        with pytest.raises(ValueError, match="^no state-relevant observations in new corpus$"):
+            adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, lines)
+
+    def test_floor_above_every_state_rejected(self, bundle_a, lines_b):
+        with pytest.raises(ValueError, match="^refit retained no state above the occupancy floor$"):
+            adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, lines_b, occupancy_floor=1e9)
+
     @pytest.mark.parametrize("floor", [-1.0, float("nan"), float("inf")])
     def test_bad_occupancy_floor_rejected_before_the_refit(self, bundle_a, lines_b, floor, monkeypatch):
         def no_refit(*args, **kwargs):
@@ -190,10 +200,10 @@ class TestViterbiAdaptation:
             groups.append([tuple(row.tolist()) for row in rows])
             return real_group(m, rows)
 
-        def tree_spy(symbols, live):
-            levels, node = real_tree(symbols, live)
-            trees.append([(parent.tolist(), symbol.tolist()) for parent, symbol in levels])
-            return levels, node
+        def tree_spy(symbols, alive):
+            starts, node = real_tree(symbols, alive)
+            trees.append((symbols.T.tolist(), starts.tolist(), node.tolist()))
+            return starts, node
 
         monkeypatch.setattr(driftparse.adapt, "viterbi_decode", decode_spy)
         monkeypatch.setattr(driftparse.hmm, "_decode_tree", group_spy)
@@ -212,14 +222,17 @@ class TestViterbiAdaptation:
         bound = driftparse.hmm._DECODE_BATCH
         assert all(1 <= len(group) <= bound for group in groups)
         assert len(groups) == -(-len(distinct) // bound) > 1
-        # level t of a group's tree steps each distinct prefix of length t + 1 once
+        # level t of a group's tree steps each distinct prefix of length t + 1
+        # once, and each row alive at t reaches the node of its own prefix
         assert len(trees) == len(groups)
-        for group, levels in zip(groups, trees):
-            assert len(levels) == max(map(len, group))
-            prefixes = [()]
-            for t, (parent, symbol) in enumerate(levels):
-                prefixes = [prefixes[p] + (s,) for p, s in zip(parent, symbol)]
-                assert prefixes == sorted({row[: t + 1] for row in group if len(row) > t})
+        for group, (columns, starts, node) in zip(groups, trees):
+            assert len(starts) == max(map(len, group))
+            for t, (level_starts, level_node) in enumerate(zip(starts, node)):
+                stepped = [tuple(columns[g][: t + 1]) for g, start in enumerate(level_starts) if start]
+                assert sorted(stepped) == sorted({row[: t + 1] for row in group if len(row) > t})
+                for row, w in zip(group, level_node):
+                    if len(row) > t:
+                        assert stepped[w] == row[: t + 1]
 
     def test_small_decode_batch_gives_the_same_adaptation(self, bundle_a, lines_b, adapted_vit, monkeypatch):
         monkeypatch.setattr(driftparse.hmm, "_DECODE_BATCH", 2)
@@ -296,6 +309,12 @@ class TestViterbiAdaptation:
     def test_empty_corpus_rejected(self, bundle_a):
         with pytest.raises(ValueError):
             adapt_viterbi(bundle_a.hmm, bundle_a.pattern, [])
+
+    def test_corpus_without_voting_lines_rejected(self, bundle_a):
+        # one line holds no state, the other one state of many: too few to vote
+        lines = [TokenSequence("e1", ("x", "y")), TokenSequence("e2", (bundle_a.hmm.states[0], "x"))]
+        with pytest.raises(ValueError, match="^no decodable lines in new corpus$"):
+            adapt_viterbi(bundle_a.hmm, bundle_a.pattern, lines)
 
 
 class TestDirectionalContract:

@@ -379,6 +379,13 @@ class TestValidation:
         with pytest.raises(BundleError, match=r"\$\.mining_config\.threshold"):
             document_to_bundle(doc)
 
+    @pytest.mark.parametrize("section, key, value", [("hmm", "pt", {}), ("pattern", "trigger", 5)])
+    def test_wrong_type_names_path(self, bundle_a, section, key, value):
+        doc = doc_of(bundle_a)
+        doc[section][key] = value
+        with pytest.raises(BundleError, match=rf"^bad type at \$\.{section}\.{key}$"):
+            document_to_bundle(doc)
+
     def test_bool_is_not_an_int(self, bundle_a):
         doc = doc_of(bundle_a)
         doc["format_version"] = True

@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from driftparse.adapt import (
     adapt_viterbi,
 )
 from driftparse.bundle import load_bundle
-from driftparse.cli import build_parser, main
+from driftparse.cli import _atomic_write, build_parser, main
 from driftparse.corpus import DRIFT_NONE, DRIFT_SYSTEM_B, GeneratorConfig, file_digest, load_log
 from driftparse.hmm import FitConfig
 from driftparse.parsing import DEFAULT_KPI, KpiTable
@@ -158,6 +159,38 @@ class TestParseEval:
                          "--universe", "4000")
         assert code == 0
 
+    def test_repeated_event_id_is_a_reject_as_the_readme_says(self, tmp_path, capsys):
+        # the README's KPI-table paragraph quotes this run: gen --seed 0
+        # --events 300 with its first scan line appended again
+        warning = "log.tsv:301: duplicate event id evt-000005, first on line 6"
+        summary = "parsed 100 rows from 300 lines"
+        assert main(["gen", "--seed", "0", "--events", "300", "-o", str(tmp_path)]) == 0
+        log, model = tmp_path / "log.tsv", tmp_path / "model.json"
+        assert main(["train", str(log), str(tmp_path / "truth.csv"), "-o", str(model)]) == 0
+        text = log.read_text()
+        log.write_text(text + next(line for line in text.splitlines() if "\tscan\t" in line) + "\n")
+        capsys.readouterr()
+        code, out, err = run(capsys, "parse", str(model), str(log), "-o", str(tmp_path / "parsed.csv"))
+        assert code == 0
+        assert err == f"warning: {tmp_path}/{warning}\n"
+        assert out == summary + "\n"
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert warning in readme and summary in readme
+
+    def test_log_of_only_malformed_lines_errors_and_writes_nothing(self, workdir, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        log.write_text("no tabs here\n2020-01-01\tscan\te1\t\n")
+        out_csv = tmp_path / "parsed.csv"
+        code, out, err = run(capsys, "parse", str(workdir / "model.json"), str(log), "-o", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"warning: {log}:1: expected 4 fields, got 1\n"
+            f"warning: {log}:2: empty event text\n"
+            f"error: no usable events in {log}\n"
+        )
+        assert not out_csv.exists()
+
     def test_invalid_utf8_line_is_one_reject(self, workdir, tmp_path, capsys):
         lines = (workdir / "a/log.tsv").read_bytes().splitlines(keepends=True)
         lines[49] = lines[49].rstrip(b"\n") + b"\xff\n"
@@ -303,6 +336,81 @@ class TestAdapt:
         assert code == 1
         assert err.startswith("error:") and "occupancy_floor" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestNoOutputOverwritesAnInput:
+    # (command line, the two arguments the error names, the file they share);
+    # each file name is a file of the test's own directory, and the output
+    # is spelled with a "." so only the resolved paths are equal
+    CASES = {
+        "train -o log": (["train", "log.tsv", "truth.csv", "-o", "./log.tsv"], "-o and the log", "log.tsv"),
+        "train -o truth": (
+            ["train", "log.tsv", "truth.csv", "-o", "./truth.csv"], "-o and the truth table", "truth.csv"
+        ),
+        "parse -o bundle": (
+            ["parse", "model.json", "log.tsv", "-o", "./model.json"], "-o and the bundle", "model.json"
+        ),
+        "parse -o log": (["parse", "model.json", "log.tsv", "-o", "./log.tsv"], "-o and the log", "log.tsv"),
+        "adapt --report bundle": (
+            ["adapt", "model.json", "log.tsv", "--strategy", "viterbi", "-o", "out.json", "--report", "./model.json"],
+            "--report and the bundle", "model.json",
+        ),
+        "adapt --report log": (
+            ["adapt", "model.json", "log.tsv", "--strategy", "viterbi", "-o", "out.json", "--report", "./log.tsv"],
+            "--report and the log", "log.tsv",
+        ),
+        "adapt -o log": (
+            ["adapt", "model.json", "log.tsv", "--strategy", "baum-welch", "-o", "./log.tsv"],
+            "-o and the log", "log.tsv",
+        ),
+        "eval --csv parsed": (
+            ["eval", "parsed.csv", "truth.csv", "--universe", "4000", "--csv", "./parsed.csv"],
+            "--csv and the parsed table", "parsed.csv",
+        ),
+        "eval --csv truth": (
+            ["eval", "parsed.csv", "truth.csv", "--universe", "4000", "--csv", "./truth.csv"],
+            "--csv and the truth table", "truth.csv",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_before_anything_is_written(self, workdir, tmp_path, case, capsys):
+        argv, names, named = self.CASES[case]
+        for name, source in (("model.json", "model.json"), ("log.tsv", "b/log.tsv"),
+                             ("truth.csv", "a/truth.csv"), ("parsed.csv", "a/truth.csv")):
+            (tmp_path / name).write_bytes((workdir / source).read_bytes())
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        command = [argv[0]] + [str(tmp_path / arg) if arg.endswith((".json", ".tsv", ".csv")) else arg
+                               for arg in argv[1:]]
+        code, out, err = run(capsys, *command)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {names} name the same file {tmp_path / named}: refusing to overwrite it\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_adapt_may_write_over_its_input_bundle(self, workdir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes((workdir / "model.json").read_bytes())
+        code, _, _ = run(capsys, "adapt", str(model), str(workdir / "b/log.tsv"),
+                         "--strategy", "viterbi", "-o", str(model))
+        assert code == 0
+        before = load_bundle(workdir / "model.json").pattern.required_tokens
+        assert load_bundle(model).pattern.required_tokens > before
+        assert json.loads((tmp_path / "model.json.report.json").read_text())["strategy"] == "viterbi"
+
+
+def test_atomic_write_that_fails_keeps_the_target_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def failing_writer(tmp):
+        Path(tmp).write_text("partial")
+        raise RuntimeError("the writer failed")
+
+    with pytest.raises(RuntimeError, match="^the writer failed$"):
+        _atomic_write(target, failing_writer)
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old\n"
 
 
 class TestDefaults:

@@ -32,6 +32,18 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError, match="drift"):
             GeneratorConfig(seed=1, n_events=10, drift_profile="system_c")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_events": 0}, "n_events must be >= 1"),
+            ({"kpi_line_fraction": 0.0}, r"kpi_line_fraction must lie in \(0, 1\]"),
+            ({"kpi_line_fraction": 1.5}, r"kpi_line_fraction must lie in \(0, 1\]"),
+        ],
+    )
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorConfig(**{"seed": 1, "n_events": 10, **kwargs})
+
     def test_noise_override(self):
         config = GeneratorConfig(seed=1, n_events=10, noise_profile={"width_na": 0.7})
         assert config.noise("width_na") == 0.7

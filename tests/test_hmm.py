@@ -18,6 +18,7 @@ from driftparse.hmm import (
     SMOOTHING_EPSILON,
     FitConfig,
     Hmm,
+    _decode_tree,
     _expected_counts,
     _smooth_rows,
     baum_welch_fit,
@@ -222,6 +223,27 @@ class TestValidate:
         with pytest.raises(ValueError, match="distinct"):
             Hmm(("a", "a"), ("x", OOV_TOKEN), np.array([0.5, 0.5]),
                 np.full((2, 2), 0.5), np.full((2, 2), 0.5)).validate()
+
+    def test_duplicate_emission_rejected(self):
+        with pytest.raises(ValueError, match="^emissions must be distinct$"):
+            Hmm(("a",), ("x", "x", OOV_TOKEN), np.array([1.0]), np.array([[1.0]]),
+                np.full((1, 3), 1 / 3)).validate()
+
+    def test_start_probabilities_not_summing_to_one_rejected(self):
+        with pytest.raises(ValueError, match="^ps does not sum to 1$"):
+            Hmm(("a", "b"), ("x", OOV_TOKEN), np.array([0.5, 0.4]),
+                np.full((2, 2), 0.5), np.full((2, 2), 0.5)).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iterations": 0}, "max_iterations must be >= 1"),
+            ({"loglik_tolerance": 0.0}, "loglik_tolerance must be > 0"),
+        ],
+    )
+    def test_fit_config_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FitConfig(**kwargs)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
@@ -531,6 +553,22 @@ class TestViterbi:
         for row, result in zip(rows, decoded):
             assert result == decode_one(model, row)
             assert result == two_reduction_viterbi(model, row)
+
+    @given(
+        model_with_zeros_and_ties.flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                rows_sharing_prefixes(st.sampled_from(m.emissions + ("unseen",))).flatmap(st.permutations),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_group_in_any_row_order_equals_each_row_alone(self, model_rows):
+        # viterbi_decode hands _decode_tree its rows sorted; the group decode
+        # must not rely on that, repeats and rows that are prefixes included
+        model, rows = model_rows
+        decoded = _decode_tree(model, [model.encode(row) for row in rows])
+        assert decoded == [decode_one(model, row) for row in rows]
 
     def test_mixed_lengths_keep_their_order(self, monkeypatch):
         model = make_hmm(

@@ -39,6 +39,10 @@ class TestCounting:
     def test_threshold_one_keeps_all(self):
         assert find_frequent_tokens({"a": 5, "b": 2}, 1) == {"a", "b"}
 
+    def test_threshold_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^threshold must be >= 1$"):
+            find_frequent_tokens({"a": 5}, 0)
+
     @given(corpus_strategy)
     @settings(max_examples=100, deadline=None)
     def test_count_matches_brute_force_rescan(self, corpus):
