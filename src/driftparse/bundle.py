@@ -7,8 +7,9 @@ stored as one row object: ``fill``, the row's most common value, plus
 and their values.  A trained row is nearly all smoothing floor, so this
 keeps a bundle small and its save and load short.  Every probability is a
 17-significant-digit decimal string, which makes saves byte-deterministic
-and load(save(x)) exact.  Every load re-checks the model invariants before
-the model can be used.  docs/bundle_schema.json describes the layout.
+and load(save(x)) exact.  An Hmm checks its invariants when it is built, so
+a load that would build an invalid one raises BundleError instead.
+docs/bundle_schema.json describes the layout.
 """
 
 from __future__ import annotations
@@ -170,9 +171,8 @@ def document_to_bundle(doc: dict) -> ModelBundle:
     ps = _float_row(_get(hm, "ps", dict, "$.hmm"), "$.hmm.ps", len(states))
     pt = _float_matrix(_get(hm, "pt", list, "$.hmm"), "$.hmm.pt", len(states))
     pe = _float_matrix(_get(hm, "pe", list, "$.hmm"), "$.hmm.pe", len(emissions))
-    model = Hmm(states, emissions, ps, pt, pe)
     try:
-        model.validate()
+        model = Hmm(states, emissions, ps, pt, pe)
     except ValueError as exc:
         raise BundleError(f"invalid model in $.hmm: {exc}") from None
 

@@ -80,6 +80,9 @@ class GeneratorConfig:
         unknown = set(self.noise_profile) - set(DEFAULT_NOISE_PROFILE)
         if unknown:
             raise ValueError(f"unknown noise profile keys: {sorted(unknown)}")
+        for key, value in self.noise_profile.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+                raise ValueError(f"noise profile {key} must be a number in [0, 1], got {value!r}")
 
     def noise(self, key: str) -> float:
         return self.noise_profile.get(key, DEFAULT_NOISE_PROFILE[key])
@@ -233,7 +236,7 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[EventRecord], KpiTabl
         event_id = f"evt-{i:06d}"
         timestamp = clock.isoformat(timespec="seconds")
         draw = rng.random()
-        if draw < config.kpi_line_fraction or draw < config.kpi_line_fraction + echo_fraction:
+        if draw < config.kpi_line_fraction + echo_fraction:
             is_echo = draw >= config.kpi_line_fraction
             drifted = drift_b and rng.random() < config.noise("drift_fraction")
             fields = _scan_fields(rng, config, drifted)

@@ -80,6 +80,8 @@ class FitConfig:
 class Hmm:
     """Immutable model: states, emission alphabet (OOV last), ps/pt/pe.
 
+    The invariants are checked when the model is built, so build_hmm,
+    baum_welch_fit and the bundle loader cannot return an invalid one.
     The arrays are never written after construction, so each instance
     builds its emission index and log tables once, on first use; a changed
     model is a new instance with caches of its own.
@@ -91,7 +93,7 @@ class Hmm:
     pt: np.ndarray
     pe: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self):
         n, m = len(self.states), len(self.emissions)
         if len(set(self.states)) != n:
             raise ValueError("states must be distinct")
@@ -229,12 +231,10 @@ def build_hmm(matching_lines: list[TokenSequence], state_tokens) -> Hmm:
     ps = _smooth_rows(start_counts)
     pt = _smooth_rows(trans_counts)
     pe = _smooth_rows(emit_counts)
-    model = Hmm(states, alphabet, ps, pt, pe)
-    model.validate()
-    return model
+    return Hmm(states, alphabet, ps, pt, pe)
 
 
-def _forward(model: Hmm, emit: np.ndarray):
+def _forward(ps: np.ndarray, pt: np.ndarray, emit: np.ndarray):
     """Scaled forward pass over a batch of B equal-length sequences.
 
     emit[t, b] is the emission column pe[:, obs_b[t]], a (T, B, N) array
@@ -248,7 +248,7 @@ def _forward(model: Hmm, emit: np.ndarray):
     alpha = np.empty_like(emit)
     scale = np.empty(emit.shape[:2])
     for t in range(len(emit)):
-        a = (model.ps if t == 0 else alpha[t - 1] @ model.pt) * emit[t]
+        a = (ps if t == 0 else alpha[t - 1] @ pt) * emit[t]
         scale[t] = a.sum(axis=1)
         if not scale[t].all():
             return alpha[:t], scale[: t + 1]
@@ -260,7 +260,7 @@ def sequence_loglikelihood(model: Hmm, observations: list[str]) -> float:
     """Forward algorithm: log-probability of the sequence over all paths (-inf if none)."""
     if not observations:
         raise ValueError("observation sequence must be non-empty")
-    _, scale = _forward(model, model.pe.T[model.encode(observations), None])
+    _, scale = _forward(model.ps, model.pt, model.pe.T[model.encode(observations), None])
     return float(_log(scale).sum())
 
 
@@ -308,7 +308,7 @@ def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], fl
     axis gives every back-pointer of a level.  The best score is then read
     at that argmax through a flat index instead of reducing a second time:
     the value at the first argmax is the maximum bit for bit, as the log
-    tables hold no NaN (validate refuses non-finite probabilities).  A row
+    tables hold no NaN (an Hmm refuses non-finite probabilities).  A row
     takes its last state and log-probability at the level where it ends,
     and one back-trace walks every row alive at a level at once.  The rows
     are decoded in the order given, and each result is the same bit for bit
@@ -390,8 +390,8 @@ def viterbi_decode(model: Hmm, sequences: list[list[str]]) -> list[tuple[list[in
     return [results[key] for key in keys]
 
 
-def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
-    """One E-step over all sequences: expected start/transition/emission counts.
+def _expected_counts(ps: np.ndarray, pt: np.ndarray, pe: np.ndarray, encoded: list[np.ndarray]):
+    """One E-step of the arrays (ps, pt, pe): expected start/transition/emission counts.
 
     Sequences of equal length run through forward-backward together, in
     batches of at most _BATCH_SEQUENCES, so the batch arrays stay bounded
@@ -400,17 +400,17 @@ def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
     posterior at every step.  Transition counts are summed inside the
     backward loop and emission counts once per batch.
     """
-    n, m = len(model.states), len(model.emissions)
+    n, m = pe.shape
     ps_acc = np.zeros(n)
     pt_acc = np.zeros((n, n))
     pe_acc = np.zeros((m, n))
     total_ll = 0.0
     # one contiguous row per symbol; nothing is copied for a model
     # re-estimated from these counts, whose pe is the returned pe_acc.T
-    pe_by_symbol = np.ascontiguousarray(model.pe.T)
+    pe_by_symbol = np.ascontiguousarray(pe.T)
     for batch in _length_batches(encoded, _BATCH_SEQUENCES):
         emit = pe_by_symbol[batch.T]
-        alpha, scale = _forward(model, emit)
+        alpha, scale = _forward(ps, pt, emit)
         if len(alpha) < len(emit):
             raise ValueError("a training sequence has probability zero under the model")
         # beta holds one step; alpha[t] is turned in place into the
@@ -420,11 +420,11 @@ def _expected_counts(model: Hmm, encoded: list[np.ndarray]):
         for t in range(len(alpha) - 2, -1, -1):
             w = emit[t + 1] * beta / scale[t + 1, :, None]
             xi += alpha[t].T @ w
-            beta = w @ model.pt.T
+            beta = w @ pt.T
             alpha[t] *= beta
         total_ll += float(np.log(scale).sum())
         ps_acc += alpha[0].sum(axis=0)
-        pt_acc += model.pt * xi
+        pt_acc += pt * xi
         # sum the posterior rows of each distinct symbol, then add them once
         symbols = batch.T.ravel()
         order = np.argsort(symbols, kind="stable")
@@ -470,35 +470,27 @@ def baum_welch_fit(
     """Expectation-maximization re-estimation over multiple sequences.
 
     Expected counts are summed across sequences before re-estimation.  The
-    EM iterations themselves are unsmoothed so the recorded log-likelihood
-    trace is exactly non-decreasing; SMOOTHING_EPSILON is added once to the
-    returned model to keep every probability strictly positive.
+    EM iterations run on the arrays, unsmoothed so the recorded
+    log-likelihood trace is exactly non-decreasing; SMOOTHING_EPSILON is
+    added once to the returned model, the one Hmm built, to keep every
+    probability strictly positive.
     Symbols unseen by the input model extend its emission alphabet first.
     """
     sequences = [seq for seq in training_sequences if seq]
     if not sequences:
         raise ValueError("training_sequences must contain a non-empty sequence")
-    current = extend_alphabet(model, (tok for seq in sequences for tok in seq))
-    encoded = [current.encode(seq) for seq in sequences]
+    model = extend_alphabet(model, (tok for seq in sequences for tok in seq))
+    encoded = [model.encode(seq) for seq in sequences]
 
+    ps, pt, pe = model.ps, model.pt, model.pe
     trace: list[float] = []
     for _ in range(config.max_iterations):
-        ps_acc, pt_acc, pe_acc, total_ll = _expected_counts(current, encoded)
+        ps_acc, pt_acc, pe_acc, total_ll = _expected_counts(ps, pt, pe, encoded)
         trace.append(total_ll)
         if len(trace) > 1 and total_ll - trace[-2] < config.loglik_tolerance:
             break
         ps = ps_acc / ps_acc.sum()
-        pt = _renormalize_or_keep(pt_acc, current.pt)
-        pe = _renormalize_or_keep(pe_acc, current.pe)
-        current = Hmm(current.states, current.emissions, ps, pt, pe)
+        pt = _renormalize_or_keep(pt_acc, pt)
+        pe = _renormalize_or_keep(pe_acc, pe)
 
-    fitted = Hmm(
-        current.states,
-        current.emissions,
-        _smooth_rows(current.ps),
-        _smooth_rows(current.pt),
-        _smooth_rows(current.pe),
-    )
-    fitted.validate()
-    return fitted, trace
-
+    return Hmm(model.states, model.emissions, _smooth_rows(ps), _smooth_rows(pt), _smooth_rows(pe)), trace

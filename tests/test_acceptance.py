@@ -19,7 +19,7 @@ from driftparse.bundle import (
     load_bundle,
     save_bundle,
 )
-from driftparse.corpus import GeneratorConfig, file_digest, generate_corpus, load_log, write_log
+from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, file_digest, generate_corpus, load_log, write_log
 from driftparse.evaluate import (
     ConfusionMatrix,
     accuracy,
@@ -44,6 +44,13 @@ from .golden_event import RAW_EVENT
 
 
 VERDICTS: list[str] = []
+
+# (TP, FP, FN) of the unadapted, refit and Viterbi patterns, per training seed
+SYSTEM_B_COUNTS = {
+    0: ((20, 5, 306), (326, 52, 0), (0, 0, 326)),
+    1: ((18, 2, 329), (347, 51, 0), (0, 0, 347)),
+    2: ((23, 4, 347), (370, 47, 0), (0, 0, 370)),
+}
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -298,3 +305,36 @@ class TestAcceptance:
             problems.append("log files not byte-identical under fixed seed")
 
         checked("9 determinism and round trips", not problems, "; ".join(problems) or "all round trips exact")
+
+    def test_10_paper_metric_on_system_b(self):
+        # the paper's setting: train on one system, parse a drifted one, score
+        # accuracy and sensitivity with one slot per event of the drifted log
+        problems, details = [], []
+        for seed, expected in SYSTEM_B_COUNTS.items():
+            records, truth = generate_corpus(GeneratorConfig(seed=seed, n_events=1500))
+            bundle = train(records, truth)
+            drifted, drifted_truth = generate_corpus(
+                GeneratorConfig(seed=seed + 1000, n_events=1000, drift_profile=DRIFT_SYSTEM_B)
+            )
+            lines = preprocess_corpus(drifted)
+            kinds = {r.event_id: r.event_type for r in drifted}
+            truth_map = drifted_truth.as_dict()
+            patterns = (
+                bundle.pattern,
+                adapt_baum_welch(bundle.hmm, bundle.pattern, lines)[1],
+                adapt_viterbi(bundle.hmm, bundle.pattern, lines)[1],
+            )
+            scores = []
+            for name, pattern, want in zip(("unadapted", "refit", "Viterbi"), patterns, expected):
+                parsed = parse_corpus(pattern, lines)
+                cm = confusion(parsed, drifted_truth, universe_size=len(drifted))
+                got = (cm.tp, cm.fp, cm.fn)
+                scores.append(f"{name} {cm.tp}/{cm.fp}/{cm.fn} {accuracy(cm):.1%} {sensitivity(cm):.1%}")
+                if got != want:
+                    problems.append(f"seed {seed} {name} TP/FP/FN {got} != {want}")
+                false_kinds = {kinds[event_id] for (event_id, kpi), value in parsed.as_dict().items()
+                               if truth_map.get((event_id, kpi)) != value}
+                if false_kinds - {"scan_preview"}:
+                    problems.append(f"seed {seed} {name}: false positives on {sorted(false_kinds)} events")
+            details.append(f"seed {seed}: " + ", ".join(scores))
+        checked("10 paper metric on system_b", not problems, "; ".join(problems or details))

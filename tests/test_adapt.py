@@ -19,6 +19,7 @@ from driftparse.pipeline import preprocess_corpus, train
 from driftparse.preprocess import TokenSequence
 
 from .decoding import decode_one
+from .test_hmm import assert_valid_and_smoothed
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ class TestBaumWelchAdaptation:
         assert adapted.trigger_aliases == {"ctdi", "ctdivol"}
 
     def test_refit_model_validates(self, adapted_bw):
-        adapted_bw[0].validate()
+        assert_valid_and_smoothed(adapted_bw[0])
 
     def test_fixed_point_on_undrifted_corpus(self, bundle_a, lines_a):
         _, pattern, _ = adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, lines_a)

@@ -1,8 +1,10 @@
 import bisect
 import json
 import math
-from collections import Counter
+import re
+from collections import Counter, namedtuple
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from driftparse.bundle import (
     FORMAT_VERSION,
     BundleError,
     ModelBundle,
+    _sparse_row,
     bundle_to_document,
     document_to_bundle,
     load_bundle,
     save_bundle,
 )
 from driftparse.corpus import GeneratorConfig, generate_corpus
-from driftparse.hmm import Hmm
+from driftparse.hmm import OOV_TOKEN, Hmm
 from driftparse.mining import MiningConfig
 from driftparse.parsing import ParsingPattern
 from driftparse.pipeline import train
@@ -121,8 +124,16 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, 1 - 2**-53, 0.5, 1e-6]
 _entries = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))
 
 
+Arrays = namedtuple("Arrays", "ps pt pe")
+
+
 @st.composite
-def models(draw):
+def float_arrays(draw):
+    """The ps, pt and pe of 1-4 states and 1-6 symbols, any float in each entry.
+
+    No Hmm holds most of them; the writer's row objects are checked on them
+    through _sparse_row, which bundle_to_document applies to each row.
+    """
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 6))
 
@@ -130,9 +141,15 @@ def models(draw):
         size = math.prod(shape)
         return np.array(draw(st.lists(_entries, min_size=size, max_size=size))).reshape(shape)
 
-    states = tuple(f"s{i}" for i in range(n))
-    emissions = tuple(f"e{j}" for j in range(m - 1)) + ("<oov>",)
-    return Hmm(states, emissions, array(n), array(n, n), array(n, m))
+    return Arrays(array(n), array(n, n), array(n, m))
+
+
+def row_objects(arrays):
+    return {
+        "ps": _sparse_row(arrays.ps),
+        "pt": [_sparse_row(row) for row in arrays.pt],
+        "pe": [_sparse_row(row) for row in arrays.pe],
+    }
 
 
 def hmm_document(model):
@@ -140,27 +157,27 @@ def hmm_document(model):
     return bundle_to_document(ModelBundle(model, pattern, MiningConfig(threshold=1), "test"))["hmm"]
 
 
-def rows_of(doc, model):
-    """(row object, model row) for ``ps`` and every row of ``pt`` and ``pe``."""
-    yield doc["ps"], model.ps
+def rows_of(doc, arrays):
+    """(row object, array row) for ``ps`` and every row of ``pt`` and ``pe``."""
+    yield doc["ps"], arrays.ps
     for name in ("pt", "pe"):
-        yield from zip(doc[name], getattr(model, name))
+        yield from zip(doc[name], getattr(arrays, name))
 
 
 class TestWriterOracle:
     @settings(max_examples=100, deadline=None)
-    @given(models())
-    def test_strings_equal_per_entry_format(self, model):
-        doc = hmm_document(model)
-        assert expand(doc["ps"], len(model.ps)) == reference_strings(model.ps)
+    @given(float_arrays())
+    def test_strings_equal_per_entry_format(self, arrays):
+        doc = row_objects(arrays)
+        assert expand(doc["ps"], len(arrays.ps)) == reference_strings(arrays.ps)
         for name in ("pt", "pe"):
-            matrix = getattr(model, name)
+            matrix = getattr(arrays, name)
             assert [expand(row, matrix.shape[1]) for row in doc[name]] == reference_strings(matrix)
 
     @settings(max_examples=100, deadline=None)
-    @given(models())
-    def test_fill_is_the_most_common_bits_and_only_the_rest_is_listed(self, model):
-        for row, values in rows_of(hmm_document(model), model):
+    @given(float_arrays())
+    def test_fill_is_the_most_common_bits_and_only_the_rest_is_listed(self, arrays):
+        for row, values in rows_of(row_objects(arrays), arrays):
             bits = values.view(np.uint64).tolist()
             counts = Counter(bits)
             top = max(counts.values())
@@ -190,6 +207,90 @@ class TestSparseRows:
         off_fill = sum(len(row) - Counter(row.view(np.uint64).tolist()).most_common(1)[0][1] for row in pe)
         listed = sum(len(row["value"]) for row in doc_of(bundle)["hmm"]["pe"])
         assert listed <= off_fill < pe.size // 10
+
+
+def stochastic_row(k):
+    weights = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(any)
+    return weights.map(lambda w: np.array(w) / sum(w))
+
+
+# entries an Hmm refuses, next to some it holds
+_ODD_ENTRIES = [math.nan, math.inf, -math.inf, -0.5, -0.0, 0.0, 5e-324, 0.7, 1.0]
+
+
+@st.composite
+def model_arrays(draw):
+    """The ps, pt and pe of 1-3 states and 1-4 symbols, every row stochastic,
+    except that half the time one row is replaced by arbitrary entries."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    rows = [draw(stochastic_row(n)) for _ in range(1 + n)] + [draw(stochastic_row(m)) for _ in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        k = len(rows[i])
+        rows[i] = np.array(draw(st.lists(st.sampled_from(_ODD_ENTRIES), min_size=k, max_size=k)))
+    return Arrays(rows[0], np.array(rows[1 : 1 + n]), np.array(rows[1 + n :]))
+
+
+def holds_a_model(arrays):
+    """Finite, non-negative, and ps and every row of pt and pe summing to 1 within 1e-9."""
+    if not all(np.isfinite(a).all() and (a >= 0).all() for a in arrays):
+        return False
+    sums = [arrays.ps.sum(), *arrays.pt.sum(axis=1), *arrays.pe.sum(axis=1)]
+    return all(abs(total - 1) <= 1e-9 for total in sums)
+
+
+class TestEveryBuiltBundleLoads:
+    @settings(max_examples=100, deadline=None)
+    @given(model_arrays(), st.text(max_size=8))
+    def test_built_bundle_round_trips_and_invalid_arrays_raise(self, tmp_path_factory, arrays, provenance):
+        # a model that can be built can be saved, and what is saved loads back exactly
+        states = tuple(f"s{i}" for i in range(len(arrays.ps)))
+        emissions = tuple(f"e{j}" for j in range(arrays.pe.shape[1] - 1)) + (OOV_TOKEN,)
+        if not holds_a_model(arrays):
+            with pytest.raises(ValueError):
+                Hmm(states, emissions, *arrays)
+            return
+        pattern = ParsingPattern(frozenset({"s0"}), "s0", "ctdi", frozenset({"s0"}))
+        bundle = ModelBundle(Hmm(states, emissions, *arrays), pattern, MiningConfig(threshold=3), provenance)
+        path = tmp_path_factory.mktemp("bundle") / "model.json"
+        save_bundle(bundle, path)
+        restored = load_bundle(path)
+        assert (restored.hmm.states, restored.hmm.emissions) == (states, emissions)
+        for name in ("ps", "pt", "pe"):
+            assert getattr(restored.hmm, name).tobytes() == getattr(arrays, name).tobytes()
+        assert (restored.pattern, restored.mining_config, restored.provenance) == (
+            pattern, bundle.mining_config, provenance
+        )
+
+
+class TestSchema:
+    """docs/bundle_schema.json against the document the writer writes."""
+
+    SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "bundle_schema.json").read_text())
+
+    def test_format_version_is_the_writers(self):
+        assert self.SCHEMA["properties"]["format_version"]["const"] == FORMAT_VERSION
+
+    def test_each_required_list_is_the_written_keys(self, bundle_a):
+        doc, props = doc_of(bundle_a), self.SCHEMA["properties"]
+        levels = [
+            (self.SCHEMA, doc),
+            (props["mining_config"], doc["mining_config"]),
+            (props["hmm"], doc["hmm"]),
+            (props["pattern"], doc["pattern"]),
+            (self.SCHEMA["$defs"]["row"], doc["hmm"]["ps"]),
+        ]
+        for node, written in levels:
+            assert sorted(node["required"]) == sorted(written)
+
+    def test_every_probability_of_a_trained_bundle_matches_the_pattern(self, bundle_a):
+        pattern = re.compile(self.SCHEMA["$defs"]["probability"]["pattern"])
+        hmm = doc_of(bundle_a)["hmm"]
+        rows = [hmm["ps"], *hmm["pt"], *hmm["pe"]]
+        strings = [text for row in rows for text in [row["fill"], *row["value"]]]
+        assert len(strings) > len(rows)
+        assert all(pattern.search(text) for text in strings)
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -43,6 +44,16 @@ class TestGeneratorConfig:
     def test_out_of_range_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             GeneratorConfig(**{"seed": 1, "n_events": 10, **kwargs})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("drift_fraction", 2.0), ("echo_fraction", -0.5), ("care_off", math.nan), ("width_na", "x"),
+         ("aec_off", True)],
+    )
+    def test_noise_value_outside_zero_one_rejected(self, key, value):
+        message = rf"^noise profile {key} must be a number in \[0, 1\], got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            GeneratorConfig(seed=1, n_events=10, drift_profile=DRIFT_SYSTEM_B, noise_profile={key: value})
 
     def test_noise_override(self):
         config = GeneratorConfig(seed=1, n_events=10, noise_profile={"width_na": 0.7})

@@ -45,9 +45,23 @@ def make_hmm(ps, pt, pe, states=None, emissions=None):
     n, m = pe.shape
     states = tuple(states or (f"s{i}" for i in range(n)))
     emissions = tuple(emissions or [f"e{k}" for k in range(m - 1)] + [OOV_TOKEN])
-    model = Hmm(states, emissions, ps, pt, pe)
-    model.validate()
-    return model
+    return Hmm(states, emissions, ps, pt, pe)
+
+
+def assert_valid_and_smoothed(model):
+    """Each invariant Hmm checks when it is built, plus the smoothing floor:
+    every probability is > 0."""
+    n, m = len(model.states), len(model.emissions)
+    assert len(set(model.states)) == n
+    assert len(set(model.emissions)) == m
+    assert model.emissions[-1] == OOV_TOKEN
+    assert model.ps.shape == (n,) and model.pt.shape == (n, n) and model.pe.shape == (n, m)
+    for p in (model.ps, model.pt, model.pe):
+        assert np.isfinite(p).all()
+        assert (p > 0).all()
+    assert abs(model.ps.sum() - 1.0) <= 1e-9
+    for matrix in (model.pt, model.pe):
+        assert (np.abs(matrix.sum(axis=1) - 1.0) <= 1e-9).all()
 
 
 def brute_force_loglik(model, observations):
@@ -89,28 +103,28 @@ def brute_force_expected_counts(model, sequences):
     return ps_acc, pt_acc, pe_acc, total_ll
 
 
-def per_sequence_expected_counts(model, encoded):
+def per_sequence_expected_counts(ps, pt, pe, encoded):
     """The E-step one sequence at a time, as driftparse ran it before it
     batched sequences of equal length: scaled forward-backward (Rabiner 1989,
     section V.A) with the transition counts taken after the backward pass."""
-    n, m = model.pe.shape
+    n, m = pe.shape
     ps_acc, pt_acc, pe_acc = np.zeros(n), np.zeros((n, n)), np.zeros((m, n))
     total_ll = 0.0
     for obs in encoded:
-        emit = model.pe[:, obs].T
+        emit = pe[:, obs].T
         alpha, scale = np.empty_like(emit), np.empty(len(obs))
         for t in range(len(obs)):
-            a = (model.ps if t == 0 else alpha[t - 1] @ model.pt) * emit[t]
+            a = (ps if t == 0 else alpha[t - 1] @ pt) * emit[t]
             scale[t] = a.sum()
             alpha[t] = a / scale[t]
         beta = np.ones_like(alpha)
         for t in range(len(obs) - 2, -1, -1):
-            beta[t] = model.pt @ (emit[t + 1] * beta[t + 1]) / scale[t + 1]
+            beta[t] = pt @ (emit[t + 1] * beta[t + 1]) / scale[t + 1]
         gamma = alpha * beta
         total_ll += float(np.log(scale).sum())
         ps_acc += gamma[0]
         np.add.at(pe_acc, obs, gamma)
-        pt_acc += model.pt * (alpha[:-1].T @ (emit[1:] * beta[1:] / scale[1:, None]))
+        pt_acc += pt * (alpha[:-1].T @ (emit[1:] * beta[1:] / scale[1:, None]))
     return ps_acc, pt_acc, pe_acc.T, total_ll
 
 
@@ -212,27 +226,33 @@ class TestValidate:
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ValueError, match="does not sum to 1"):
             Hmm(("a",), ("x", OOV_TOKEN), np.array([1.0]), np.array([[1.0]]),
-                np.array([[0.7, 0.7]])).validate()
+                np.array([[0.7, 0.7]]))
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             Hmm(("a",), ("x", OOV_TOKEN), np.array([1.0]), np.array([[1.0]]),
-                np.array([[1.5, -0.5]])).validate()
+                np.array([[1.5, -0.5]]))
 
     def test_duplicate_state_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             Hmm(("a", "a"), ("x", OOV_TOKEN), np.array([0.5, 0.5]),
-                np.full((2, 2), 0.5), np.full((2, 2), 0.5)).validate()
+                np.full((2, 2), 0.5), np.full((2, 2), 0.5))
 
     def test_duplicate_emission_rejected(self):
         with pytest.raises(ValueError, match="^emissions must be distinct$"):
             Hmm(("a",), ("x", "x", OOV_TOKEN), np.array([1.0]), np.array([[1.0]]),
-                np.full((1, 3), 1 / 3)).validate()
+                np.full((1, 3), 1 / 3))
+
+    def test_nan_probability_rejected_when_built(self):
+        # unchecked, a NaN entry decodes to a NaN score and runs a whole refit
+        with pytest.raises(ValueError, match="^probabilities must be finite$"):
+            Hmm(("a", "b"), ("x", OOV_TOKEN), np.array([0.5, 0.5]), np.full((2, 2), 0.5),
+                np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
     def test_start_probabilities_not_summing_to_one_rejected(self):
         with pytest.raises(ValueError, match="^ps does not sum to 1$"):
             Hmm(("a", "b"), ("x", OOV_TOKEN), np.array([0.5, 0.4]),
-                np.full((2, 2), 0.5), np.full((2, 2), 0.5)).validate()
+                np.full((2, 2), 0.5), np.full((2, 2), 0.5))
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -248,7 +268,7 @@ class TestValidate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             Hmm(("a",), ("x", OOV_TOKEN), np.array([1.0]),
-                np.full((2, 2), 0.5), np.array([[0.5, 0.5]])).validate()
+                np.full((2, 2), 0.5), np.array([[0.5, 0.5]]))
 
 
 class TestEncode:
@@ -331,7 +351,7 @@ class TestForward:
         )
         assert sequence_loglikelihood(model, ["e0", "e1", "e0"]) == -math.inf
         with pytest.raises(ValueError, match="probability zero"):
-            _expected_counts(model, [model.encode(["e0", "e1", "e0"])])
+            _expected_counts(model.ps, model.pt, model.pe, [model.encode(["e0", "e1", "e0"])])
 
 
 class TestExpectedCounts:
@@ -344,7 +364,7 @@ class TestExpectedCounts:
     def test_matches_brute_force_enumeration(self, model_seqs):
         model, sequences = model_seqs
         ps_acc, pt_acc, pe_acc, total_ll = _expected_counts(
-            model, [model.encode(seq) for seq in sequences]
+            model.ps, model.pt, model.pe, [model.encode(seq) for seq in sequences]
         )
         oracle = brute_force_expected_counts(model, sequences)
         assert ps_acc == pytest.approx(oracle[0], rel=1e-9)
@@ -369,7 +389,7 @@ class TestExpectedCounts:
     def test_batches_of_short_sequences_match_brute_force(self, model_seqs):
         # 2-6 sequences over 3 lengths: batches of several sequences and of length 1
         model, sequences = model_seqs
-        counts = _expected_counts(model, [model.encode(seq) for seq in sequences])
+        counts = _expected_counts(model.ps, model.pt, model.pe, [model.encode(seq) for seq in sequences])
         oracle = brute_force_expected_counts(model, sequences)
         for got, expected in zip(counts, oracle):
             assert got == pytest.approx(expected, rel=1e-9)
@@ -383,9 +403,9 @@ class TestExpectedCounts:
         sequences = [["e0", "e1", "e1"], ["e1"], ["e1", "e0", "e0"], ["e0", "e0", "e1"],
                      ["e0"], ["e1", "e1", "e1"], ["e0", "e1"], ["e1"], ["e0", "e0", "e0"]]
         encoded = [model.encode(seq) for seq in sequences]
-        default = _expected_counts(model, encoded)
+        default = _expected_counts(model.ps, model.pt, model.pe, encoded)
         monkeypatch.setattr(driftparse.hmm, "_BATCH_SEQUENCES", 2)
-        small = _expected_counts(model, encoded)
+        small = _expected_counts(model.ps, model.pt, model.pe, encoded)
         oracle = brute_force_expected_counts(model, sequences)
         for got, expected, exact in zip(small, default, oracle):
             assert got == pytest.approx(expected, rel=1e-12)
@@ -400,7 +420,7 @@ class TestExpectedCounts:
         )
         sequences = [["e0", "e0", "e0"], ["e0", "e1", "e0"], ["e0", "e0", "e0"]]
         with pytest.raises(ValueError, match="probability zero"):
-            _expected_counts(model, [model.encode(seq) for seq in sequences])
+            _expected_counts(model.ps, model.pt, model.pe, [model.encode(seq) for seq in sequences])
         assert sequence_loglikelihood(model, sequences[1]) == -math.inf
         assert math.isfinite(sequence_loglikelihood(model, sequences[0]))
 
@@ -424,8 +444,8 @@ class TestExpectedCountsAtLogSize:
 
     def test_matches_per_sequence_reference(self, bundle_a, drift_lines):
         model, encoded = self.encoded(bundle_a, drift_lines)
-        counts = _expected_counts(model, encoded)
-        reference = per_sequence_expected_counts(model, encoded)
+        counts = _expected_counts(model.ps, model.pt, model.pe, encoded)
+        reference = per_sequence_expected_counts(model.ps, model.pt, model.pe, encoded)
         for got, expected in zip(counts, reference):
             assert got == pytest.approx(expected, rel=1e-9)
 
@@ -451,12 +471,12 @@ class TestExpectedCountsAtLogSize:
         real_forward = driftparse.hmm._forward
         batches = []
 
-        def spy(model, emit):
+        def spy(ps, pt, emit):
             batches.append(emit.shape[:2])
-            return real_forward(model, emit)
+            return real_forward(ps, pt, emit)
 
         monkeypatch.setattr(driftparse.hmm, "_forward", spy)
-        _expected_counts(model, encoded)
+        _expected_counts(model.ps, model.pt, model.pe, encoded)
         group_sizes = {}
         for obs in encoded:
             group_sizes[len(obs)] = group_sizes.get(len(obs), 0) + 1
@@ -663,7 +683,7 @@ class TestBuildHmm:
         assert model.pe[0, -1] < 1e-5
 
     def test_rows_are_stochastic(self, bundle_a):
-        bundle_a.hmm.validate()
+        assert_valid_and_smoothed(bundle_a.hmm)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -856,7 +876,7 @@ class TestBaumWelch:
             [[0.5, 0.4, 0.1], [0.1, 0.8, 0.1]],
         )
         fitted, _ = baum_welch_fit(model, [["e0", "e1"]], FitConfig(max_iterations=3))
-        fitted.validate()
+        assert_valid_and_smoothed(fitted)
 
 
 def test_import_needs_only_numpy_beyond_the_standard_library():
