@@ -3,19 +3,20 @@
 Two strategies with opposite failure modes, both deliberately preserved:
 
 * Baum-Welch refit generalizes.  The model is re-estimated on the new
-  corpus and states whose token usage falls below a relative floor are
-  dropped from the required-token set, so the pattern gets shorter and
-  more permissive (hit rate rises, false positives appear).
+  corpus and states whose token usage falls below OCCUPANCY_FLOOR times
+  the mean usage are dropped from the required-token set, so the pattern
+  gets shorter and more permissive (hit rate rises, false positives
+  appear).
 
 * Viterbi re-decoding restricts.  Each new line is decoded against the
   trained model and observation tokens that align to the same state in at
-  least a consensus fraction of lines are added to the required-token
-  set, so the pattern gets longer and stricter (hit rate collapses).
+  least CONSENSUS_FRACTION of the voting lines are added to the
+  required-token set, so the pattern gets longer and stricter (hit rate
+  collapses).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -30,24 +31,25 @@ from .hmm import (
 from .parsing import ParsingPattern
 from .preprocess import TokenSequence
 
-DEFAULT_OCCUPANCY_FLOOR = 0.1
-DEFAULT_CONSENSUS_FRACTION = 0.8
+# constants, not parameters: every result the tests pin is measured at them
+OCCUPANCY_FLOOR = 0.1
+CONSENSUS_FRACTION = 0.8
 # a line is a high-confidence decode when it carries at least this share
 # of the pattern's states
-DEFAULT_COVERAGE_FRACTION = 0.5
+COVERAGE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
 class AdaptReport:
-    """What an adaptation changed, and the evidence it acted on.
+    """The evidence an adaptation acted on.
 
-    voting_lines and consensus are set by adapt_viterbi only: the number of
-    lines that voted, and each added token with its largest share of those
-    lines over the states it aligned to, sorted by token.
+    loglik_trace is set by adapt_baum_welch only: the refit's
+    log-likelihood per iteration.  voting_lines and consensus are set by
+    adapt_viterbi only: the number of lines that voted, and each added
+    token with its largest share of those lines over the states it aligned
+    to, sorted by token.
     """
 
-    pattern_before: ParsingPattern
-    pattern_after: ParsingPattern
     loglik_trace: tuple[float, ...] = ()
     voting_lines: int = 0
     consensus: tuple[tuple[str, float], ...] = ()
@@ -58,34 +60,30 @@ def adapt_baum_welch(
     pattern: ParsingPattern,
     new_corpus: list[TokenSequence],
     config: FitConfig = FitConfig(),
-    occupancy_floor: float = DEFAULT_OCCUPANCY_FLOOR,
 ) -> tuple[Hmm, ParsingPattern, AdaptReport]:
     """Refit on the new corpus and drop starved states from the pattern.
 
     The adapted pattern depends only on the state_usage token counts of the
-    new corpus: states used less than occupancy_floor times the mean usage
+    new corpus: states used less than OCCUPANCY_FLOOR times the mean usage
     are dropped.  The required tokens become the kept states, so a token an
     earlier Viterbi adapt added is not kept; the trigger aliases lose only
     the dropped states.  A refit that would drop the trigger is refused
     with a ValueError naming it: without a truth table there is no value
     to choose another trigger by.  The Baum-Welch refit does not affect the
     pattern; it only produces the model returned here and saved into the
-    bundle.  A floor that is negative or not finite, no kept state and a
-    dropped trigger are each refused before the refit runs.
+    bundle.  A corpus with no state-relevant observation and a dropped
+    trigger are each refused before the refit runs.  Some state is then
+    used, and the most-used one, at or above the mean usage, is kept.
     """
     if not new_corpus:
         raise ValueError("new_corpus must be non-empty")
-    if not (math.isfinite(occupancy_floor) and occupancy_floor >= 0):
-        raise ValueError("occupancy_floor must be finite and >= 0")
     sequences = [s for s in observation_sequences(model.states, new_corpus) if s]
     if not sequences:
         raise ValueError("no state-relevant observations in new corpus")
     usage = state_usage(model.states, new_corpus)
     mean_usage = sum(usage.values()) / len(usage)
-    floor = occupancy_floor * mean_usage
+    floor = OCCUPANCY_FLOOR * mean_usage
     kept = frozenset(s for s, occ in usage.items() if occ >= floor)
-    if not kept:
-        raise ValueError("refit retained no state above the occupancy floor")
     if pattern.trigger not in kept:
         raise ValueError(
             f"refit would drop the trigger {pattern.trigger!r}: it occurs {usage.get(pattern.trigger, 0)} "
@@ -95,7 +93,7 @@ def adapt_baum_welch(
     starved = usage.keys() - kept
     adapted = replace(pattern, required_tokens=kept, trigger_aliases=pattern.trigger_aliases - starved)
     fitted, trace = baum_welch_fit(model, sequences, config)
-    report = AdaptReport(pattern, adapted, tuple(trace))
+    report = AdaptReport(tuple(trace))
     return fitted, adapted, report
 
 
@@ -103,12 +101,11 @@ def adapt_viterbi(
     model: Hmm,
     pattern: ParsingPattern,
     new_corpus: list[TokenSequence],
-    consensus_fraction: float = DEFAULT_CONSENSUS_FRACTION,
 ) -> tuple[Hmm, ParsingPattern, AdaptReport]:
     """Decode the new corpus and add consistently aligned tokens to the pattern.
 
     Only high-confidence lines vote: a line must carry at least
-    DEFAULT_COVERAGE_FRACTION of the pattern's states, otherwise unrelated lines
+    COVERAGE_FRACTION of the pattern's states, otherwise unrelated lines
     that merely share a token or two would dilute every consensus.
 
     The voting lines' observations go to one viterbi_decode call, which
@@ -123,15 +120,13 @@ def adapt_viterbi(
     system_b logs of seeds 0-9), the adapted pattern does not depend on the
     model's probabilities: it equals a model-free anchored vote, in which a
     token joins when it follows the same state token in at least
-    consensus_fraction of the voting lines.  The decode stays, as the
+    CONSENSUS_FRACTION of the voting lines.  The decode stays, as the
     paper's method; that test makes any divergence from the vote visible.
     """
     if not new_corpus:
         raise ValueError("new_corpus must be non-empty")
-    if not 0 < consensus_fraction <= 1:
-        raise ValueError("consensus_fraction must lie in (0, 1]")
     state_set = frozenset(model.states)
-    min_states = DEFAULT_COVERAGE_FRACTION * len(state_set)
+    min_states = COVERAGE_FRACTION * len(state_set)
     covering = [line for line in new_corpus if len(line.token_set() & state_set) >= min_states]
     voters = [obs for obs in observation_sequences(model.states, covering) if obs]
     voting = len(voters)
@@ -143,8 +138,8 @@ def adapt_viterbi(
     shares: dict[str, float] = {}
     for (token, _), count in pair_line_counts.items():
         share = count / voting
-        if share >= consensus_fraction and token not in pattern.required_tokens:
+        if share >= CONSENSUS_FRACTION and token not in pattern.required_tokens:
             shares[token] = max(share, shares.get(token, 0.0))
     adapted = replace(pattern, required_tokens=pattern.required_tokens | frozenset(shares))
-    report = AdaptReport(pattern, adapted, voting_lines=voting, consensus=tuple(sorted(shares.items())))
+    report = AdaptReport(voting_lines=voting, consensus=tuple(sorted(shares.items())))
     return model, adapted, report

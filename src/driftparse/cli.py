@@ -9,12 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .adapt import (
-    DEFAULT_CONSENSUS_FRACTION,
-    DEFAULT_OCCUPANCY_FLOOR,
-    adapt_baum_welch,
-    adapt_viterbi,
-)
+from .adapt import adapt_baum_welch, adapt_viterbi
 from .bundle import FORMAT_VERSION, ModelBundle, bundle_to_document, load_bundle, save_bundle
 from .corpus import (
     DRIFT_NONE,
@@ -135,22 +130,16 @@ def cmd_adapt(args) -> int:
     corpus = preprocess_corpus(records)
     if args.strategy == "baum-welch":
         model, pattern, report = adapt_baum_welch(
-            bundle.hmm,
-            bundle.pattern,
-            corpus,
-            FitConfig(max_iterations=args.max_iterations),
-            occupancy_floor=args.occupancy_floor,
+            bundle.hmm, bundle.pattern, corpus, FitConfig(max_iterations=args.max_iterations)
         )
     else:
-        model, pattern, report = adapt_viterbi(
-            bundle.hmm, bundle.pattern, corpus, consensus_fraction=args.consensus
-        )
+        model, pattern, report = adapt_viterbi(bundle.hmm, bundle.pattern, corpus)
     adapted = ModelBundle(model, pattern, bundle.mining_config, bundle.provenance)
     _atomic_write(Path(args.output), lambda tmp: save_bundle(adapted, tmp))
     report_doc = {
         "strategy": args.strategy,
-        "required_tokens_before": sorted(report.pattern_before.required_tokens),
-        "required_tokens_after": sorted(report.pattern_after.required_tokens),
+        "required_tokens_before": sorted(bundle.pattern.required_tokens),
+        "required_tokens_after": sorted(pattern.required_tokens),
         "loglik_trace": list(report.loglik_trace),
         "voting_lines": report.voting_lines,
         "consensus": dict(report.consensus),
@@ -162,10 +151,9 @@ def cmd_adapt(args) -> int:
             fh.write("\n")
 
     _atomic_write(report_path, write_report)
-    before, after = report.pattern_before, report.pattern_after
     print(f"strategy: {args.strategy}")
-    print(f"required tokens: {len(before.required_tokens)} -> {len(after.required_tokens)}")
-    print(f"trigger: {before.trigger} -> {after.trigger}")
+    print(f"required tokens: {len(bundle.pattern.required_tokens)} -> {len(pattern.required_tokens)}")
+    print(f"trigger: {bundle.pattern.trigger} -> {pattern.trigger}")
     if report.loglik_trace:
         print(f"log-likelihood: {report.loglik_trace[0]:.3f} -> {report.loglik_trace[-1]:.3f} "
               f"in {len(report.loglik_trace)} iterations")
@@ -240,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("log")
     p.add_argument("--strategy", choices=("baum-welch", "viterbi"), required=True)
     p.add_argument("--max-iterations", type=int, default=FitConfig().max_iterations)
-    p.add_argument("--occupancy-floor", type=float, default=DEFAULT_OCCUPANCY_FLOOR)
-    p.add_argument("--consensus", type=float, default=DEFAULT_CONSENSUS_FRACTION)
     p.add_argument("--report", help="report path (default: <output>.report.json)")
     p.add_argument("-o", "--output", required=True, help="adapted bundle output path")
     p.set_defaults(func=cmd_adapt)

@@ -94,6 +94,9 @@ class Hmm:
     pe: np.ndarray
 
     def __post_init__(self):
+        for name in ("ps", "pt", "pe"):
+            # a float64 array passes through uncopied; lists become arrays
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         n, m = len(self.states), len(self.emissions)
         if len(set(self.states)) != n:
             raise ValueError("states must be distinct")
@@ -107,12 +110,15 @@ class Hmm:
             raise ValueError("probabilities must be finite")
         if np.any(self.ps < 0) or np.any(self.pt < 0) or np.any(self.pe < 0):
             raise ValueError("probabilities must be non-negative")
-        if abs(self.ps.sum() - 1.0) > _ROW_SUM_ATOL:
-            raise ValueError("ps does not sum to 1")
-        for name, matrix in (("pt", self.pt), ("pe", self.pe)):
-            bad = np.abs(matrix.sum(axis=1) - 1.0) > _ROW_SUM_ATOL
-            if bad.any():
-                raise ValueError(f"{name} row {int(np.argmax(bad))} does not sum to 1")
+        # the entries are finite, so a sum that overflows to inf only marks
+        # a row that does not sum to 1
+        with np.errstate(over="ignore"):
+            if abs(self.ps.sum() - 1.0) > _ROW_SUM_ATOL:
+                raise ValueError("ps does not sum to 1")
+            for name, matrix in (("pt", self.pt), ("pe", self.pe)):
+                bad = np.abs(matrix.sum(axis=1) - 1.0) > _ROW_SUM_ATOL
+                if bad.any():
+                    raise ValueError(f"{name} row {int(np.argmax(bad))} does not sum to 1")
 
     @cached_property
     def _emission_index(self) -> dict[str, int]:

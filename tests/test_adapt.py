@@ -6,8 +6,8 @@ import pytest
 
 import driftparse.adapt
 from driftparse.adapt import (
-    DEFAULT_CONSENSUS_FRACTION,
-    DEFAULT_COVERAGE_FRACTION,
+    CONSENSUS_FRACTION,
+    COVERAGE_FRACTION,
     adapt_baum_welch,
     adapt_viterbi,
 )
@@ -35,19 +35,19 @@ def adapted_vit(bundle_a, lines_b):
 def anchored_vote(pattern, states, lines):
     """Model-free reference for adapt_viterbi's pattern.
 
-    A line votes when it carries at least DEFAULT_COVERAGE_FRACTION of the
+    A line votes when it carries at least COVERAGE_FRACTION of the
     states and some state is followed by a token; a token joins the pattern
     when it follows the same state token in at least
-    DEFAULT_CONSENSUS_FRACTION of the voting lines.
+    CONSENSUS_FRACTION of the voting lines.
     """
     state_set = frozenset(states)
     votes, voting = Counter(), 0
     for line in lines:
         pairs = {(a, b) for a, b in zip(line.tokens, line.tokens[1:]) if a in state_set}
-        if pairs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set):
+        if pairs and len(line.token_set() & state_set) >= COVERAGE_FRACTION * len(state_set):
             votes.update(pairs)
             voting += 1
-    joined = {token for (_, token), n in votes.items() if n / voting >= DEFAULT_CONSENSUS_FRACTION}
+    joined = {token for (_, token), n in votes.items() if n / voting >= CONSENSUS_FRACTION}
     return pattern.required_tokens | joined
 
 
@@ -139,19 +139,6 @@ class TestBaumWelchAdaptation:
         with pytest.raises(ValueError, match="^no state-relevant observations in new corpus$"):
             adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, lines)
 
-    def test_floor_above_every_state_rejected(self, bundle_a, lines_b):
-        with pytest.raises(ValueError, match="^refit retained no state above the occupancy floor$"):
-            adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, lines_b, occupancy_floor=1e9)
-
-    @pytest.mark.parametrize("floor", [-1.0, float("nan"), float("inf")])
-    def test_bad_occupancy_floor_rejected_before_the_refit(self, bundle_a, lines_b, floor, monkeypatch):
-        def no_refit(*args, **kwargs):
-            raise AssertionError("the refit ran")
-
-        monkeypatch.setattr("driftparse.adapt.baum_welch_fit", no_refit)
-        with pytest.raises(ValueError, match="occupancy_floor"):
-            adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, lines_b, occupancy_floor=floor)
-
 
 class TestViterbiAdaptation:
     def test_pattern_grows(self, bundle_a, adapted_vit):
@@ -173,11 +160,11 @@ class TestViterbiAdaptation:
         state_set = frozenset(model.states)
         votes, voting = Counter(), 0
         for line, obs in zip(lines_b, observation_sequences(model.states, lines_b)):
-            if obs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set):
+            if obs and len(line.token_set() & state_set) >= COVERAGE_FRACTION * len(state_set):
                 path, _ = decode_one(model, obs)
                 votes.update(set(zip(obs, path)))
                 voting += 1
-        expected = {tok for (tok, _), n in votes.items() if n / voting >= DEFAULT_CONSENSUS_FRACTION}
+        expected = {tok for (tok, _), n in votes.items() if n / voting >= CONSENSUS_FRACTION}
         _, pattern, _ = adapted_vit
         assert pattern.required_tokens == bundle_a.pattern.required_tokens | expected
 
@@ -187,7 +174,7 @@ class TestViterbiAdaptation:
         voting = [
             obs
             for line, obs in zip(lines_b, observation_sequences(model.states, lines_b))
-            if obs and len(line.token_set() & state_set) >= DEFAULT_COVERAGE_FRACTION * len(state_set)
+            if obs and len(line.token_set() & state_set) >= COVERAGE_FRACTION * len(state_set)
         ]
         calls, groups, trees = [], [], []
         real_decode = driftparse.adapt.viterbi_decode
@@ -258,7 +245,7 @@ class TestViterbiAdaptation:
         assert report.consensus == (("x", 1.0), ("y", 1.0))
 
     def test_lines_that_encode_alike_decode_once_and_vote_with_their_own_tokens(self, monkeypatch):
-        # u1 and u2 are unseen, so both lines encode as [<oov>, y]
+        # u1 and u2 are unseen, so all five lines encode as [<oov>, y]
         model = Hmm(
             ("s0", "s1"),
             ("x", "y", OOV_TOKEN),
@@ -267,7 +254,8 @@ class TestViterbiAdaptation:
             np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05]]),
         )
         pattern = ParsingPattern(frozenset(model.states), "s0", "ctdi", frozenset({"s0"}))
-        lines = [TokenSequence("e1", ("s0", "u1", "s1", "y")), TokenSequence("e2", ("s0", "u2", "s1", "y"))]
+        unseen = ["u1", "u1", "u1", "u1", "u2"]
+        lines = [TokenSequence(f"e{i}", ("s0", u, "s1", "y")) for i, u in enumerate(unseen)]
         rows = []
         real_group = driftparse.hmm._decode_tree
 
@@ -276,11 +264,12 @@ class TestViterbiAdaptation:
             return real_group(m, group)
 
         monkeypatch.setattr(driftparse.hmm, "_decode_tree", group_spy)
-        _, adapted, report = adapt_viterbi(model, pattern, lines, consensus_fraction=0.5)
+        _, adapted, report = adapt_viterbi(model, pattern, lines)
         assert rows == [[2, 1]]
-        assert report.voting_lines == 2
-        assert report.consensus == (("u1", 0.5), ("u2", 0.5), ("y", 1.0))
-        assert adapted.required_tokens == {"s0", "s1", "u1", "u2", "y"}
+        assert report.voting_lines == 5
+        # u1 reaches CONSENSUS_FRACTION exactly; u2, in one line of five, does not
+        assert report.consensus == (("u1", 0.8), ("y", 1.0))
+        assert adapted.required_tokens == {"s0", "s1", "u1", "y"}
 
     def test_pattern_equals_anchored_vote(self, bundle_a, lines_b, adapted_vit):
         _, pattern, _ = adapted_vit
@@ -295,17 +284,6 @@ class TestViterbiAdaptation:
         lines = preprocess_corpus(drifted)
         _, pattern, _ = adapt_viterbi(trained.hmm, trained.pattern, lines)
         assert pattern.required_tokens == anchored_vote(trained.pattern, trained.hmm.states, lines)
-
-    def test_stricter_consensus_adds_no_more(self, bundle_a, lines_b, adapted_vit):
-        _, default_pattern, _ = adapted_vit
-        _, strict_pattern, _ = adapt_viterbi(
-            bundle_a.hmm, bundle_a.pattern, lines_b, consensus_fraction=1.0
-        )
-        assert strict_pattern.required_tokens <= default_pattern.required_tokens
-
-    def test_bad_consensus_rejected(self, bundle_a, lines_b):
-        with pytest.raises(ValueError):
-            adapt_viterbi(bundle_a.hmm, bundle_a.pattern, lines_b, consensus_fraction=0.0)
 
     def test_empty_corpus_rejected(self, bundle_a):
         with pytest.raises(ValueError):

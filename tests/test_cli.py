@@ -5,12 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from driftparse.adapt import (
-    DEFAULT_CONSENSUS_FRACTION,
-    DEFAULT_OCCUPANCY_FLOOR,
-    adapt_baum_welch,
-    adapt_viterbi,
-)
+from driftparse.adapt import CONSENSUS_FRACTION, adapt_baum_welch, adapt_viterbi
 from driftparse.bundle import load_bundle
 from driftparse.cli import _atomic_write, build_parser, main
 from driftparse.corpus import DRIFT_NONE, DRIFT_SYSTEM_B, GeneratorConfig, file_digest, load_log
@@ -293,7 +288,7 @@ class TestAdapt:
         assert report["consensus"] == dict(expected.consensus)
         added = set(report["required_tokens_after"]) - set(report["required_tokens_before"])
         assert set(report["consensus"]) == added
-        assert all(DEFAULT_CONSENSUS_FRACTION <= share <= 1 for share in report["consensus"].values())
+        assert all(CONSENSUS_FRACTION <= share <= 1 for share in report["consensus"].values())
 
 
     def test_refit_that_drops_the_trigger_writes_nothing(self, tmp_path, capsys):
@@ -324,17 +319,6 @@ class TestAdapt:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --report and -o name the same file") and str(out_bundle) in err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("floor", ["-1", "nan"])
-    def test_bad_occupancy_floor_writes_nothing(self, workdir, tmp_path, capsys, floor):
-        out_bundle = tmp_path / "adapted.json"
-        code, _, err = run(
-            capsys, "adapt", str(workdir / "model.json"), str(workdir / "b/log.tsv"),
-            "--strategy", "baum-welch", f"--occupancy-floor={floor}", "-o", str(out_bundle),
-        )
-        assert code == 1
-        assert err.startswith("error:") and "occupancy_floor" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -419,8 +403,6 @@ class TestDefaults:
             ["adapt", "model.json", "log.tsv", "--strategy", "baum-welch", "-o", "out.json"]
         )
         assert args.max_iterations == FitConfig().max_iterations
-        assert args.occupancy_floor == DEFAULT_OCCUPANCY_FLOOR
-        assert args.consensus == DEFAULT_CONSENSUS_FRACTION
         assert inspect.signature(adapt_baum_welch).parameters["config"].default == FitConfig()
 
     def test_gen_defaults_match_library(self):

@@ -254,6 +254,35 @@ class TestValidate:
             Hmm(("a", "b"), ("x", OOV_TOKEN), np.array([0.5, 0.4]),
                 np.full((2, 2), 0.5), np.full((2, 2), 0.5))
 
+    def test_lists_build_the_model_arrays_build(self):
+        ps, pt, pe = [0.5, 0.5], [[0.5, 0.5], [0.25, 0.75]], [[0.9, 0.1], [0.5, 0.5]]
+        arrays = tuple(np.array(p) for p in (ps, pt, pe))
+        from_lists = Hmm(("a", "b"), ("x", OOV_TOKEN), ps, pt, pe)
+        from_arrays = Hmm(("a", "b"), ("x", OOV_TOKEN), *arrays)
+        for got, want in zip((from_lists.ps, from_lists.pt, from_lists.pe), arrays):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert np.array_equal(got, want)
+        # a float64 array is kept, not copied
+        assert from_arrays.ps is arrays[0] and from_arrays.pe is arrays[2]
+        assert decode_one(from_lists, ["x", "y"]) == decode_one(from_arrays, ["x", "y"])
+
+    def test_nan_in_lists_rejected(self):
+        with pytest.raises(ValueError, match="^probabilities must be finite$"):
+            Hmm(("a", "b"), ("x", OOV_TOKEN), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
+                [[float("nan"), 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize(
+        "ps, pe, message",
+        [
+            ([1e308, 1e308], [[0.5, 0.5], [0.5, 0.5]], "^ps does not sum to 1$"),
+            ([0.5, 0.5], [[0.5, 0.5], [1e308, 1e308]], "^pe row 1 does not sum to 1$"),
+        ],
+    )
+    def test_entries_whose_sum_overflows_rejected(self, ps, pe, message):
+        # the suite turns RuntimeWarning into an error, so an overflowing sum would fail here
+        with pytest.raises(ValueError, match=message):
+            Hmm(("a", "b"), ("x", OOV_TOKEN), ps, [[0.5, 0.5], [0.5, 0.5]], pe)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
