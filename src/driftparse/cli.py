@@ -28,10 +28,6 @@ from .parsing import DEFAULT_KPI
 from .pipeline import parse_records, preprocess_corpus, train
 
 
-class CliError(Exception):
-    pass
-
-
 def _atomic_write(path: Path, writer) -> None:
     """Write via temp file + rename so readers never see partial output."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -47,7 +43,7 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 def _refuse_overwrite(flag, output, *others) -> None:
-    """Raise CliError when the output path names another file of the run.
+    """Raise ValueError when the output path names another file of the run.
 
     others are (name, path) pairs; paths are compared after Path.resolve(),
     so two spellings of one file match.  Commands call it before they read
@@ -56,7 +52,7 @@ def _refuse_overwrite(flag, output, *others) -> None:
     target = Path(output).resolve()
     for name, path in others:
         if Path(path).resolve() == target:
-            raise CliError(f"{flag} and {name} name the same file {path}: refusing to overwrite it")
+            raise ValueError(f"{flag} and {name} name the same file {path}: refusing to overwrite it")
 
 
 def _load_records(path):
@@ -64,7 +60,7 @@ def _load_records(path):
     for lineno, reason, _ in result.rejects:
         print(f"warning: {path}:{lineno}: {reason}", file=sys.stderr)
     if not result.records:
-        raise CliError(f"no usable events in {path}")
+        raise ValueError(f"no usable events in {path}")
     return result.records
 
 
@@ -97,7 +93,7 @@ def cmd_train(args) -> int:
         truth,
         kpi_name=args.kpi,
         threshold=args.threshold,
-        aliases=args.alias or None,
+        aliases=args.alias,
         provenance=f"sha256:{file_digest(args.log)}",
     )
     _atomic_write(Path(args.output), lambda tmp: save_bundle(bundle, tmp))
@@ -119,6 +115,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_adapt(args) -> int:
+    # built for either strategy, so a bad --max-iterations is refused before anything is read
+    config = FitConfig(max_iterations=args.max_iterations)
     report_path = Path(args.report or (str(args.output) + ".report.json"))
     # -o may name the input bundle: the output is a bundle too
     _refuse_overwrite("-o", args.output, ("the log", args.log))
@@ -129,9 +127,7 @@ def cmd_adapt(args) -> int:
     records = _load_records(args.log)
     corpus = preprocess_corpus(records)
     if args.strategy == "baum-welch":
-        model, pattern, report = adapt_baum_welch(
-            bundle.hmm, bundle.pattern, corpus, FitConfig(max_iterations=args.max_iterations)
-        )
+        model, pattern, report = adapt_baum_welch(bundle.hmm, bundle.pattern, corpus, config)
     else:
         model, pattern, report = adapt_viterbi(bundle.hmm, bundle.pattern, corpus)
     adapted = ModelBundle(model, pattern, bundle.mining_config, bundle.provenance)
@@ -252,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,18 +35,15 @@ class ConfusionMatrix:
 
 
 def confusion(parsed: KpiTable, truth: KpiTable, universe_size: int) -> ConfusionMatrix:
-    """Slot-count confusion matrix over an explicit comparison universe."""
-    parsed_map = parsed.as_dict()
+    """Slot-count confusion matrix over an explicit comparison universe.
+
+    Each table holds one row per key, so FP = parsed rows - TP and
+    FN = truth rows - TP.
+    """
     truth_map = truth.as_dict()
-    tp = fp = fn = 0
-    for key, value in parsed_map.items():
-        if key in truth_map and value == truth_map[key]:
-            tp += 1
-        else:
-            fp += 1
-    for key, value in truth_map.items():
-        if key not in parsed_map or parsed_map[key] != value:
-            fn += 1
+    tp = sum(truth_map.get((eid, kpi)) == value for eid, kpi, value in parsed.rows)
+    fp = len(parsed.rows) - tp
+    fn = len(truth.rows) - tp
     tn = universe_size - tp - fp - fn
     if tn < 0:
         raise ValueError(

@@ -23,9 +23,6 @@ class PatternCluster:
     tokens: frozenset[str]
     support: int
 
-    def sort_key(self) -> tuple:
-        return (-self.support, sorted(self.tokens))
-
 
 @dataclass(frozen=True)
 class MiningConfig:
@@ -89,7 +86,8 @@ def select_clusters(candidates: list[PatternCluster], threshold: int) -> list[Pa
     smallest rendering of the token set.
     """
     kept = [c for c in candidates if c.support >= threshold]
-    return sorted(kept, key=PatternCluster.sort_key)
+    kept.sort(key=lambda c: (-c.support, sorted(c.tokens)))
+    return kept
 
 
 def mine_clusters(corpus: list[TokenSequence], config: MiningConfig) -> ClusterSelection:

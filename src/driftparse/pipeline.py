@@ -37,8 +37,15 @@ def train(
     first with a hit wins, so one whose states never precede a truth value
     (status lines, say) is passed over.  The trigger is the winner's state
     with the most hits, ties going to the lowest token.  The pattern's
-    trigger aliases are the given aliases plus the trigger.
+    trigger aliases are the given aliases plus the trigger.  An alias that
+    is not a token as preprocessing emits it could never fire, so it is
+    refused before mining.
     """
+    for alias in aliases or ():
+        tokens = preprocess_event(EventRecord("", "", "", alias)).tokens
+        if tokens != (alias,):
+            becomes = ", ".join(map(repr, tokens)) or "nothing"
+            raise TrainingError(f"alias {alias!r} preprocesses to {becomes}, not to itself")
     values = {event_id: value for event_id, kpi, value in truth.rows if kpi == kpi_name}
     if threshold is None:
         threshold = len(values)

@@ -1,8 +1,10 @@
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import driftparse.adapt
 from driftparse.adapt import (
@@ -11,14 +13,15 @@ from driftparse.adapt import (
     adapt_baum_welch,
     adapt_viterbi,
 )
-from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus
+from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus, load_kpi_table
 from driftparse.evaluate import confusion, sensitivity
 from driftparse.hmm import OOV_TOKEN, FitConfig, Hmm, observation_sequences, state_usage
 from driftparse.parsing import ParsingPattern, parse_corpus
-from driftparse.pipeline import preprocess_corpus, train
+from driftparse.pipeline import parse_records, preprocess_corpus, train
 from driftparse.preprocess import TokenSequence
 
 from .decoding import decode_one
+from .drift_kinds import DRIFT_KINDS, drift_scan_lines
 from .test_hmm import assert_valid_and_smoothed
 
 
@@ -319,3 +322,41 @@ class TestDirectionalContract:
         assert base_hits < 0.2  # drift mostly breaks the unadapted pattern
         assert bw_hits > 0.9  # generalizing recovers the misses
         assert bw_cm.fp > base_cm.fp  # at the cost of new false alarms
+
+
+@cache
+def drift_matrix_setting(seed):
+    """The drift matrix's inputs: a bundle trained on 600 events, and 400 clean events at seed + 1000."""
+    bundle = train(*generate_corpus(GeneratorConfig(seed=seed, n_events=600)))
+    return (bundle, *generate_corpus(GeneratorConfig(seed=seed + 1000, n_events=400)))
+
+
+class TestComposedDrifts:
+    """One to three drift kinds applied in turn to the same scan lines."""
+
+    @given(
+        seed=st.integers(0, 2),
+        kinds=st.lists(st.sampled_from([k for k in DRIFT_KINDS if k != "none"]), min_size=1, max_size=3, unique=True),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_adapting_never_trades_hits_or_false_alarms_the_wrong_way(self, tmp_path_factory, seed, kinds):
+        bundle, records, truth = drift_matrix_setting(seed)
+        for kind in kinds:
+            records = drift_scan_lines(records, kind, seed)
+        lines = preprocess_corpus(records)
+        universe = 10 * len(lines)
+        parsed = parse_records(bundle.pattern, records)
+        unadapted = confusion(parsed, truth, universe)
+        # parse output is valid eval input, and scores the same once loaded
+        path = tmp_path_factory.mktemp("composed") / "parsed.csv"
+        parsed.write_csv(path)
+        assert confusion(load_kpi_table(path), truth, universe) == unadapted
+        try:
+            # one iteration: the refit's model does not change its pattern
+            refit = adapt_baum_welch(bundle.hmm, bundle.pattern, lines, FitConfig(max_iterations=1))[1]
+        except ValueError as exc:
+            assert str(exc).startswith(f"refit would drop the trigger {bundle.pattern.trigger!r}")
+        else:
+            assert hit_rate(refit, lines, truth)[0] >= sensitivity(unadapted)
+        decoded = adapt_viterbi(bundle.hmm, bundle.pattern, lines)[1]
+        assert hit_rate(decoded, lines, truth)[1].fp <= unadapted.fp

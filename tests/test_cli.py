@@ -109,6 +109,15 @@ class TestTrain:
         assert code == 0
         assert "sensitivity 100.0%" in out
 
+    def test_alias_not_in_token_form_errors_and_writes_nothing(self, workdir, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "train", str(workdir / "a/log.tsv"), str(workdir / "a/truth.csv"),
+            "--alias", "CTDIvol", "-o", str(tmp_path / "model.json"),
+        )
+        assert code == 1
+        assert err == "error: alias 'CTDIvol' preprocesses to 'ctdivol', not to itself\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_alias_survives_inspect_and_both_adapts(self, workdir, tmp_path, capsys):
         model, refit, decoded = (tmp_path / name for name in ("model.json", "refit.json", "decoded.json"))
         code, _, _ = run(
@@ -290,6 +299,16 @@ class TestAdapt:
         assert set(report["consensus"]) == added
         assert all(CONSENSUS_FRACTION <= share <= 1 for share in report["consensus"].values())
 
+    @pytest.mark.parametrize("strategy", ["baum-welch", "viterbi"])
+    def test_max_iterations_below_one_is_refused_before_anything_is_read(self, workdir, tmp_path, capsys, strategy):
+        # the log does not exist: reading it first would report that instead
+        code, _, err = run(
+            capsys, "adapt", str(workdir / "model.json"), str(tmp_path / "missing.tsv"),
+            "--strategy", strategy, "--max-iterations", "0", "-o", str(tmp_path / "adapted.json"),
+        )
+        assert code == 1
+        assert err == "error: max_iterations must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_refit_that_drops_the_trigger_writes_nothing(self, tmp_path, capsys):
         # drift renames the KPI key in every scan line, so the refit starves ctdi

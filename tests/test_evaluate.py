@@ -54,10 +54,12 @@ class TestConfusion:
         truth = table(*((f"e{k}", v) for k, v in truth_raw.items()))
         cm = confusion(parsed, truth, 100)
         assert cm.total == 100
+        # a hit is a (key, value) pair the two tables share
+        assert cm.tp == len(parsed_raw.items() & truth_raw.items())
         assert cm.tp + cm.fp == len(parsed.rows)
         assert cm.tp + cm.fn >= len(truth.rows) - len(parsed.rows)
         # every truth row is either hit or missed
-        assert cm.tp + cm.fn == len(truth.rows) + (cm.fp - (len(parsed.rows) - cm.tp))
+        assert cm.tp + cm.fn == len(truth.rows)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_in_memory_equals_csv_round_trip(self, seed, tmp_path):

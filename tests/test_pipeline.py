@@ -1,6 +1,7 @@
 """train's trigger rule: the state whose follower reproduces the truth values."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -69,6 +70,29 @@ class TestTrainTrigger:
 
     def test_trained_model_trigger_is_kpi_token(self, bundle_a):
         assert bundle_a.pattern.trigger == "ctdi"
+
+
+class TestAliases:
+    @pytest.mark.parametrize(
+        "alias, becomes",
+        [("CTDIvol", "'ctdivol'"), ("16.6", "'16.60'"), ("the", "nothing"), ("ctdi vol", "'ctdi', 'vol'")],
+    )
+    def test_alias_that_preprocessing_changes_is_refused_before_mining(self, alias, becomes):
+        # the log alone would fail in mining: no state precedes the truth value
+        with pytest.raises(TrainingError) as caught:
+            train(records("a word"), truth("1.00"), aliases=[alias])
+        assert str(caught.value) == f"alias {alias!r} preprocesses to {becomes}, not to itself"
+
+    def test_alias_in_token_form_fires_where_the_trigger_does_not(self, corpus_a, bundle_a):
+        # a scan line whose value moved from CTDI to CTDIvol
+        log, ctdi = corpus_a
+        event_id, _, value = ctdi.rows[0]
+        scan = next(r for r in log if r.event_id == event_id)
+        moved = re.sub(r"@CTDI@=#([^#]*)#", r"@CTDI@=#n.a.#,@CTDIvol@=#\1#", scan.text)
+        drifted = [replace(scan, text=moved)]
+        assert parse_records(bundle_a.pattern, drifted).rows == []
+        aliased = train(log, ctdi, aliases=["ctdivol"])
+        assert parse_records(aliased.pattern, drifted).rows == [(event_id, "ctdi", value)]
 
 
 @pytest.fixture(scope="module")
