@@ -19,7 +19,12 @@ The Baum-Welch E-step runs over batches of equal-length sequences:
 _length_batches groups the sequences by length and stacks each group in
 batches of at most _BATCH_SEQUENCES, so a step costs a few numpy calls per
 batch rather than per sequence, and the batch arrays stay small however
-large the corpus.  viterbi_decode is the one Viterbi path.  A path
+large the corpus.  The EM runs unsmoothed, so a probability it does not use
+shrinks super-exponentially from step to step and soon leaves the normal
+float range, where every operation that touches it takes the CPU's slow
+subnormal path.  After each M-step the EM therefore sets to 0.0 every
+probability below _EM_FLOOR, which the final smoothing could not tell from
+0 anyway.  viterbi_decode is the one Viterbi path.  A path
 depends only on the encoded sequence, so it encodes each token sequence
 once and decodes each distinct encoding once, however many sequences
 share it.  It cuts the distinct encodings, sorted by their bytes, into
@@ -53,6 +58,10 @@ OOV_TOKEN = "<oov>"
 # added to every row of a built or refit model, so none of its probabilities is zero
 SMOOTHING_EPSILON = 1e-6
 
+# below this, p + SMOOTHING_EPSILON == SMOOTHING_EPSILON in float64, so the
+# final smoothing cannot tell p from 0; the EM sets such entries to 0.0
+_EM_FLOOR = SMOOTHING_EPSILON * np.finfo(np.float64).eps / 4
+
 _ROW_SUM_ATOL = 1e-9
 
 # most sequences one E-step batch stacks: bounds its (T, B, N) arrays
@@ -70,9 +79,13 @@ class FitConfig:
     loglik_tolerance: float = 1e-3
 
     def __post_init__(self):
+        # a bool is an int to isinstance, and range() refuses a float only later
+        if type(self.max_iterations) is not int:
+            raise ValueError("max_iterations must be an int")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.loglik_tolerance <= 0:
+        # written so that NaN, which compares false, is refused too
+        if not self.loglik_tolerance > 0:
             raise ValueError("loglik_tolerance must be > 0")
 
 
@@ -477,7 +490,10 @@ def baum_welch_fit(
 
     Expected counts are summed across sequences before re-estimation.  The
     EM iterations run on the arrays, unsmoothed so the recorded
-    log-likelihood trace is exactly non-decreasing; SMOOTHING_EPSILON is
+    log-likelihood trace is non-decreasing up to the rounding of _EM_FLOOR:
+    each M-step sets every probability below it to 0.0, which keeps the
+    E-steps out of subnormal arithmetic, and a state whose expected count
+    thereby becomes exactly 0 keeps its previous row.  SMOOTHING_EPSILON is
     added once to the returned model, the one Hmm built, to keep every
     probability strictly positive.
     Symbols unseen by the input model extend its emission alphabet first.
@@ -498,5 +514,7 @@ def baum_welch_fit(
         ps = ps_acc / ps_acc.sum()
         pt = _renormalize_or_keep(pt_acc, pt)
         pe = _renormalize_or_keep(pe_acc, pe)
+        for p in (ps, pt, pe):
+            p[p < _EM_FLOOR] = 0.0
 
     return Hmm(model.states, model.emissions, _smooth_rows(ps), _smooth_rows(pt), _smooth_rows(pe)), trace

@@ -16,6 +16,7 @@ from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus
 from driftparse.hmm import (
     OOV_TOKEN,
     SMOOTHING_EPSILON,
+    _EM_FLOOR,
     FitConfig,
     Hmm,
     _decode_tree,
@@ -288,6 +289,10 @@ class TestValidate:
         [
             ({"max_iterations": 0}, "max_iterations must be >= 1"),
             ({"loglik_tolerance": 0.0}, "loglik_tolerance must be > 0"),
+            ({"loglik_tolerance": float("nan")}, "loglik_tolerance must be > 0"),
+            ({"max_iterations": 2.5}, "max_iterations must be an int"),
+            ({"max_iterations": True}, "max_iterations must be an int"),
+            ({"max_iterations": "3"}, "max_iterations must be an int"),
         ],
     )
     def test_fit_config_out_of_range_rejected(self, kwargs, message):
@@ -516,6 +521,51 @@ class TestExpectedCountsAtLogSize:
             assert len(sizes) <= -(-size // limit)
             assert sum(sizes) == size
         assert max(b for _, b in batches) <= limit
+
+
+class TestEmFloor:
+    """The EM zeroes what the final smoothing rounds away, and no more."""
+
+    def test_smoothing_cannot_tell_a_value_below_the_floor_from_zero(self):
+        assert SMOOTHING_EPSILON + np.nextafter(_EM_FLOOR, 0) == SMOOTHING_EPSILON
+
+    def refit(self, bundle_a, drift_lines, monkeypatch):
+        """adapt_baum_welch's model and report, and per E-step its arrays,
+        the row sums of its transition counts and their total."""
+        real = driftparse.hmm._expected_counts
+        steps = []
+
+        def spy(ps, pt, pe, encoded):
+            counts = real(ps, pt, pe, encoded)
+            # the M-step normalizes the transition counts in place
+            steps.append(((ps, pt, pe), counts[1].sum(axis=1), counts[1].sum()))
+            return counts
+
+        with monkeypatch.context() as patch:
+            patch.setattr(driftparse.hmm, "_expected_counts", spy)
+            fitted, _, report = adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, drift_lines)
+        return fitted, report.loglik_trace, steps
+
+    def test_no_e_step_sees_a_probability_below_the_floor(self, bundle_a, drift_lines, monkeypatch):
+        _, _, steps = self.refit(bundle_a, drift_lines, monkeypatch)
+        assert len(steps) > 1
+        for arrays, _, _ in steps:
+            for p in arrays:
+                assert not ((p > 0) & (p < _EM_FLOOR)).any()
+
+    def test_floor_changes_only_the_rows_of_states_with_no_mass(self, bundle_a, drift_lines, monkeypatch):
+        fitted, trace, _ = self.refit(bundle_a, drift_lines, monkeypatch)
+        monkeypatch.setattr(driftparse.hmm, "_EM_FLOOR", 0.0)
+        reference, ref_trace, ref_steps = self.refit(bundle_a, drift_lines, monkeypatch)
+        assert len(trace) == len(ref_trace)
+        assert trace == pytest.approx(ref_trace, rel=1e-12)
+        assert fitted.ps == pytest.approx(reference.ps, rel=1e-12)
+        assert fitted.pe == pytest.approx(reference.pe, rel=1e-12)
+        # a state whose counts the floor makes exactly 0 keeps its previous
+        # row, where the reference re-estimates it from subnormal counts
+        same = np.isclose(fitted.pt, reference.pt, rtol=1e-12, atol=0).all(axis=1)
+        for _, row_counts, total in ref_steps[-3:]:
+            assert (row_counts[~same] < 1e-12 * total).all()
 
 
 def rows_sharing_prefixes(symbol):
