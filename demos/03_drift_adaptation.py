@@ -1,13 +1,15 @@
 """Train on system A, parse drifted system B, then adapt both ways.
 
-The two adaptation strategies fail in opposite directions, and that
-contrast is the point:
+Both adaptation strategies read the drifted lines that hold the
+trigger, the only lines a pattern can extract a value from.  They fail in
+opposite directions, and that contrast is the point:
 
-* Baum-Welch refitting drops states the drifted corpus no longer uses,
-  so the pattern generalizes: hit rate recovers to 1.0 but false
+* Baum-Welch refitting drops the states fewer than 80% of those lines
+  carry, so the pattern generalizes: hit rate recovers to 1.0 but false
   positives appear (here, "scan preview" echo events).
-* Viterbi re-decoding adds tokens that consistently align to the same
-  state, so the pattern over-restricts: hit rate collapses.
+* Viterbi re-decoding adds tokens that align to the same state in at
+  least 80% of those lines, so the pattern over-restricts: hit rate
+  collapses.
 
 Run:  python3 demos/03_drift_adaptation.py   (under 1 s on a 2-CPU machine)
 """

@@ -1,16 +1,18 @@
 """Model adaptation to drifted corpora.
 
-Two strategies with opposite failure modes, both deliberately preserved:
+Two strategies with opposite failure modes, both deliberately preserved.
+Both read the same lines of the new corpus, its trigger lines: those that
+hold the pattern's trigger, the only lines parse can extract a value from.
 
 * Baum-Welch refit generalizes.  The model is re-estimated on the new
-  corpus and states whose token usage falls below OCCUPANCY_FLOOR times
-  the mean usage are dropped from the required-token set, so the pattern
+  corpus and states that fewer than CONSENSUS_FRACTION of the trigger
+  lines carry are dropped from the required-token set, so the pattern
   gets shorter and more permissive (hit rate rises, false positives
   appear).
 
-* Viterbi re-decoding restricts.  Each new line is decoded against the
-  trained model and observation tokens that align to the same state in at
-  least CONSENSUS_FRACTION of the voting lines are added to the
+* Viterbi re-decoding restricts.  Each trigger line is decoded against
+  the trained model and observation tokens that align to the same state
+  in at least CONSENSUS_FRACTION of the voting lines are added to the
   required-token set, so the pattern gets longer and stricter (hit rate
   collapses).
 """
@@ -19,24 +21,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 
-from .hmm import (
-    FitConfig,
-    Hmm,
-    baum_welch_fit,
-    observation_sequences,
-    state_usage,
-    viterbi_decode,
-)
+from .hmm import FitConfig, Hmm, baum_welch_fit, observation_sequences, viterbi_decode
 from .parsing import ParsingPattern
 from .preprocess import TokenSequence
 
-# constants, not parameters: every result the tests pin is measured at them
-OCCUPANCY_FLOOR = 0.1
+# a constant, not a parameter: every result the tests pin is measured at it
 CONSENSUS_FRACTION = 0.8
-# a line is a high-confidence decode when it carries at least this share
-# of the pattern's states
-COVERAGE_FRACTION = 0.5
+
+
+def _trigger_lines(pattern: ParsingPattern, corpus: list[TokenSequence]) -> list[TokenSequence]:
+    """The lines that hold the trigger: a required token, so no other line can parse."""
+    return [line for line in corpus if pattern.trigger in line.tokens]
 
 
 @dataclass(frozen=True)
@@ -61,36 +58,36 @@ def adapt_baum_welch(
     new_corpus: list[TokenSequence],
     config: FitConfig = FitConfig(),
 ) -> tuple[Hmm, ParsingPattern, AdaptReport]:
-    """Refit on the new corpus and drop starved states from the pattern.
+    """Refit on the new corpus and drop the states its trigger lines lack.
 
-    The adapted pattern depends only on the state_usage token counts of the
-    new corpus: states used less than OCCUPANCY_FLOOR times the mean usage
-    are dropped.  The required tokens become the kept states, so a token an
-    earlier Viterbi adapt added is not kept; the trigger aliases lose only
-    the dropped states.  A refit that would drop the trigger is refused
-    with a ValueError naming it: without a truth table there is no value
-    to choose another trigger by.  The Baum-Welch refit does not affect the
-    pattern; it only produces the model returned here and saved into the
-    bundle.  A corpus with no state-relevant observation and a dropped
-    trigger are each refused before the refit runs.  Some state is then
-    used, and the most-used one, at or above the mean usage, is kept.
+    The adapted pattern depends only on which states the trigger lines of
+    the new corpus carry: a state in fewer than CONSENSUS_FRACTION of them
+    is dropped.  The trigger is in every such line, so it is always kept.
+    The required tokens become the kept states, so a token an earlier
+    Viterbi adapt added is not kept; the trigger aliases lose only the
+    dropped states.  A corpus in which no line holds the trigger is
+    refused with a ValueError naming it: the refit would drop it, and
+    without a truth table there is no value to choose another trigger by.
+    So is a corpus with no state-relevant observation, both before the
+    refit runs.  The Baum-Welch refit does not affect the pattern; it fits
+    every line's observations and only produces the model returned here
+    and saved into the bundle.
     """
     if not new_corpus:
         raise ValueError("new_corpus must be non-empty")
     sequences = [s for s in observation_sequences(model.states, new_corpus) if s]
     if not sequences:
         raise ValueError("no state-relevant observations in new corpus")
-    usage = state_usage(model.states, new_corpus)
-    mean_usage = sum(usage.values()) / len(usage)
-    floor = OCCUPANCY_FLOOR * mean_usage
-    kept = frozenset(s for s, occ in usage.items() if occ >= floor)
-    if pattern.trigger not in kept:
+    lines = _trigger_lines(pattern, new_corpus)
+    if not lines:
         raise ValueError(
-            f"refit would drop the trigger {pattern.trigger!r}: it occurs {usage.get(pattern.trigger, 0)} "
-            f"times, below the occupancy floor {floor:g}, and without truth values adaptation "
-            "cannot choose another trigger"
+            f"refit would drop the trigger {pattern.trigger!r}: it occurs 0 times, "
+            "and without truth values adaptation cannot choose another trigger"
         )
-    starved = usage.keys() - kept
+    state_set = frozenset(model.states)
+    line_counts = Counter(chain.from_iterable(state_set.intersection(line.tokens) for line in lines))
+    kept = frozenset(s for s in state_set if line_counts[s] / len(lines) >= CONSENSUS_FRACTION)
+    starved = state_set - kept
     adapted = replace(pattern, required_tokens=kept, trigger_aliases=pattern.trigger_aliases - starved)
     fitted, trace = baum_welch_fit(model, sequences, config)
     report = AdaptReport(tuple(trace))
@@ -104,9 +101,9 @@ def adapt_viterbi(
 ) -> tuple[Hmm, ParsingPattern, AdaptReport]:
     """Decode the new corpus and add consistently aligned tokens to the pattern.
 
-    Only high-confidence lines vote: a line must carry at least
-    COVERAGE_FRACTION of the pattern's states, otherwise unrelated lines
-    that merely share a token or two would dilute every consensus.
+    Only the trigger lines with some observation vote: a line without the
+    trigger cannot parse, and unrelated lines that merely share a token or
+    two would dilute every consensus.
 
     The voting lines' observations go to one viterbi_decode call, which
     decodes each distinct encoding once and steps each of their distinct
@@ -125,10 +122,7 @@ def adapt_viterbi(
     """
     if not new_corpus:
         raise ValueError("new_corpus must be non-empty")
-    state_set = frozenset(model.states)
-    min_states = COVERAGE_FRACTION * len(state_set)
-    covering = [line for line in new_corpus if len(line.token_set() & state_set) >= min_states]
-    voters = [obs for obs in observation_sequences(model.states, covering) if obs]
+    voters = [obs for obs in observation_sequences(model.states, _trigger_lines(pattern, new_corpus)) if obs]
     voting = len(voters)
     if voting == 0:
         raise ValueError("no decodable lines in new corpus")

@@ -176,39 +176,21 @@ def observation_sequences(states, corpus: list[TokenSequence]) -> list[list[str]
 
     The rule decides which tokens vote in the Viterbi consensus and what the
     Baum-Welch refit model is fitted to; it does not affect the refit
-    pattern, which comes from state_usage counts of the state tokens.
+    pattern, which comes from the state tokens the trigger lines carry.
     """
     state_set = frozenset(states)
     return [[b for _, b in state_followers(line.tokens, state_set)] for line in corpus]
-
-
-def state_usage(states, corpus: list[TokenSequence]) -> dict[str, int]:
-    """Occurrences of each state token across the corpus.
-
-    Because this model's states are themselves pattern tokens, the hidden
-    path of a line is anchored: a state is used exactly where its token
-    occurs.  Counting occurrences therefore gives the state usage directly
-    and deterministically, where a posterior-based estimate would drift as
-    re-estimation repurposes emission rows.
-    """
-    state_set = frozenset(states)
-    usage = {s: 0 for s in states}
-    for line in corpus:
-        for token in line.tokens:
-            if token in state_set:
-                usage[token] += 1
-    return usage
 
 
 def build_hmm(matching_lines: list[TokenSequence], state_tokens) -> Hmm:
     """Construct the model whose states are state_tokens, sorted, from lines.
 
     Training passes a mined cluster's tokens and the lines that carry them.
-    Start counts are each state token's occurrences across the lines (its
-    state_usage); transitions are bigrams over the line's state-token
-    subsequence, its state run (non-state tokens are skipped); emissions are
-    the state_followers pairs whose follower is not a state token.  Counts
-    are smoothed by SMOOTHING_EPSILON and row-normalized.
+    Start counts are each state token's occurrences across the lines;
+    transitions are bigrams over the line's state-token subsequence, its
+    state run (non-state tokens are skipped); emissions are the
+    state_followers pairs whose follower is not a state token.  Counts are
+    smoothed by SMOOTHING_EPSILON and row-normalized.
     """
     if not matching_lines:
         raise ValueError("matching_lines must be non-empty")

@@ -57,15 +57,16 @@ SYSTEM_B_COUNTS = {
 REFERENCE_MATRIX_3 = ConfusionMatrix(673, 3355, 0, 575558)
 
 # (hit rate, FP) of the unadapted, refit and Viterbi patterns per kind of
-# drift, the same on training seeds 0-2; None: the refit is refused, since
-# it would drop the trigger
+# drift, the same on training seeds 0-2; None: the strategy is refused, as
+# no line holds the trigger (the refit would drop it, and Viterbi has no
+# line to vote)
 DRIFT_KIND_SCORES = {
     "none": ((1.0, 0), (1.0, 0), (1.0, 0)),
     "fields shuffled": ((1.0, 0), (1.0, 0), (1.0, 0)),
     "field inserted": ((1.0, 0), (1.0, 0), (1.0, 0)),
     "constant value": ((0.0, 0), (1.0, 0), (0.0, 0)),
     "non-KPI key renamed": ((0.0, 0), (1.0, 0), (0.0, 0)),
-    "KPI key renamed": ((0.0, 0), None, (0.0, 0)),
+    "KPI key renamed": ((0.0, 0), None, None),
 }
 
 
@@ -382,7 +383,13 @@ class TestAcceptance:
                     if not str(exc).startswith(f"refit would drop the trigger {bundle.pattern.trigger!r}"):
                         raise
                     refit = None
-                got = tuple(map(score, (bundle.pattern, refit, adapt_viterbi(bundle.hmm, bundle.pattern, lines)[1])))
+                try:
+                    decoded = adapt_viterbi(bundle.hmm, bundle.pattern, lines)[1]
+                except ValueError as exc:
+                    if str(exc) != "no decodable lines in new corpus":
+                        raise
+                    decoded = None
+                got = tuple(map(score, (bundle.pattern, refit, decoded)))
                 seen[kind].add(" · ".join("refused" if g is None else f"{g[0]:.2f}/{g[1]}" for g in got))
                 if got != expected:
                     problems.append(f"seed {seed} {kind}: {got} != {expected}")

@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftparse.adapt
-from driftparse.adapt import (
-    CONSENSUS_FRACTION,
-    COVERAGE_FRACTION,
-    adapt_baum_welch,
-    adapt_viterbi,
-)
+from driftparse.adapt import CONSENSUS_FRACTION, adapt_baum_welch, adapt_viterbi
 from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus, load_kpi_table
 from driftparse.evaluate import confusion, sensitivity
-from driftparse.hmm import OOV_TOKEN, FitConfig, Hmm, observation_sequences, state_usage
+from driftparse.hmm import OOV_TOKEN, FitConfig, Hmm, build_hmm, observation_sequences
 from driftparse.parsing import ParsingPattern, parse_corpus
 from driftparse.pipeline import parse_records, preprocess_corpus, train
 from driftparse.preprocess import TokenSequence
 
 from .decoding import decode_one
 from .drift_kinds import DRIFT_KINDS, drift_scan_lines
+from .syslog_family import syslog_corpus
 from .test_hmm import assert_valid_and_smoothed
 
 
@@ -35,19 +31,23 @@ def adapted_vit(bundle_a, lines_b):
     return adapt_viterbi(bundle_a.hmm, bundle_a.pattern, lines_b)
 
 
+def trigger_lines(pattern, lines):
+    """The lines whose tokens include the pattern's trigger."""
+    return [line for line in lines if pattern.trigger in line.tokens]
+
+
 def anchored_vote(pattern, states, lines):
     """Model-free reference for adapt_viterbi's pattern.
 
-    A line votes when it carries at least COVERAGE_FRACTION of the
-    states and some state is followed by a token; a token joins the pattern
-    when it follows the same state token in at least
-    CONSENSUS_FRACTION of the voting lines.
+    A line votes when it holds the trigger and some state is followed by a
+    token; a token joins the pattern when it follows the same state token
+    in at least CONSENSUS_FRACTION of the voting lines.
     """
     state_set = frozenset(states)
     votes, voting = Counter(), 0
-    for line in lines:
+    for line in trigger_lines(pattern, lines):
         pairs = {(a, b) for a, b in zip(line.tokens, line.tokens[1:]) if a in state_set}
-        if pairs and len(line.token_set() & state_set) >= COVERAGE_FRACTION * len(state_set):
+        if pairs:
             votes.update(pairs)
             voting += 1
     joined = {token for (_, token), n in votes.items() if n / voting >= CONSENSUS_FRACTION}
@@ -68,13 +68,6 @@ class TestHelpers:
     def test_line_final_state_emits_nothing(self):
         lines = [TokenSequence("e1", ("x", "a"))]
         assert observation_sequences(("a",), lines) == [[]]
-
-    def test_state_usage_counts_occurrences(self):
-        lines = [
-            TokenSequence("e1", ("a", "x", "a")),
-            TokenSequence("e2", ("b", "y")),
-        ]
-        assert state_usage(("a", "b", "c"), lines) == {"a": 2, "b": 1, "c": 0}
 
 
 class TestBaumWelchAdaptation:
@@ -108,6 +101,45 @@ class TestBaumWelchAdaptation:
         assert "ctdivol" not in bundle_a.hmm.states
         assert "mas" not in adapted.required_tokens
         assert adapted.trigger_aliases == {"ctdi", "ctdivol"}
+
+    def test_keeps_a_state_in_four_of_five_trigger_lines(self):
+        # a is in 4 of the 5 lines holding the trigger t, b in 3 of them; c
+        # is in every line without t, which outnumber the trigger lines
+        trigger = [("t", "1", "a", "x", "b", "y")] * 3 + [("t", "2", "a", "x")] + [("t", "3")]
+        other = [("c", "z", "a", "w", "b", "v")] * 20
+        lines = [TokenSequence(f"e{i}", tokens) for i, tokens in enumerate(trigger + other)]
+        states = {"t", "a", "b", "c"}
+        model = build_hmm(lines, states)
+        pattern = ParsingPattern(frozenset(states), "t", "ctdi", frozenset(states))
+        _, adapted, _ = adapt_baum_welch(model, pattern, lines, FitConfig(max_iterations=1))
+        assert adapted.required_tokens == {"t", "a"}
+        assert adapted.trigger_aliases == {"t", "a"}
+
+    def test_default_noise_keeps_no_renamed_state(self):
+        # drift_fraction 0.95 leaves the renamed states in 4 undrifted lines
+        # (3 scans, 1 preview echo) of the 23 that hold the trigger: enough
+        # to pass a count over every line, too few to keep
+        bundle = train(*generate_corpus(GeneratorConfig(seed=0, n_events=800)))
+        records, truth = generate_corpus(GeneratorConfig(seed=16, n_events=60, drift_profile=DRIFT_SYSTEM_B))
+        lines = preprocess_corpus(records)
+        _, pattern, _ = adapt_baum_welch(bundle.hmm, bundle.pattern, lines, FitConfig(max_iterations=1))
+        dropped = bundle.pattern.required_tokens - pattern.required_tokens
+        assert dropped == {"mas", "miorgcharabdomen", "mirangestartauto", "mirot", "scanuid"}
+        hits, cm = hit_rate(pattern, lines, truth)
+        assert (hits, cm.tp, cm.fp) == (1.0, 19, 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_second_log_family(self, seed):
+        # preview lines carry acquisition and kv, which drift removed from the
+        # scan lines; they are too few of the trigger lines to keep either
+        bundle = train(*syslog_corpus(seed, 600))
+        records, truth = syslog_corpus(seed + 1000, 400, drifted=True)
+        lines = preprocess_corpus(records)
+        assert hit_rate(bundle.pattern, lines, truth)[0] == 0
+        _, pattern, _ = adapt_baum_welch(bundle.hmm, bundle.pattern, lines, FitConfig(max_iterations=1))
+        assert {"acquisit", "kv"} <= bundle.pattern.required_tokens - pattern.required_tokens
+        hits, cm = hit_rate(pattern, lines, truth)
+        assert (hits, cm.fp) == (1.0, 0)
 
     def test_refit_model_validates(self, adapted_bw):
         assert_valid_and_smoothed(adapted_bw[0])
@@ -160,10 +192,9 @@ class TestViterbiAdaptation:
     def test_additions_equal_per_line_decode_vote(self, bundle_a, lines_b, adapted_vit):
         # reference: the public decode of each voting line, then the consensus vote
         model = bundle_a.hmm
-        state_set = frozenset(model.states)
         votes, voting = Counter(), 0
-        for line, obs in zip(lines_b, observation_sequences(model.states, lines_b)):
-            if obs and len(line.token_set() & state_set) >= COVERAGE_FRACTION * len(state_set):
+        for obs in observation_sequences(model.states, trigger_lines(bundle_a.pattern, lines_b)):
+            if obs:
                 path, _ = decode_one(model, obs)
                 votes.update(set(zip(obs, path)))
                 voting += 1
@@ -173,12 +204,7 @@ class TestViterbiAdaptation:
 
     def test_each_distinct_encoding_decoded_once(self, bundle_a, lines_b, monkeypatch):
         model = bundle_a.hmm
-        state_set = frozenset(model.states)
-        voting = [
-            obs
-            for line, obs in zip(lines_b, observation_sequences(model.states, lines_b))
-            if obs and len(line.token_set() & state_set) >= COVERAGE_FRACTION * len(state_set)
-        ]
+        voting = [obs for obs in observation_sequences(model.states, trigger_lines(bundle_a.pattern, lines_b)) if obs]
         calls, groups, trees = [], [], []
         real_decode = driftparse.adapt.viterbi_decode
         real_group, real_tree = driftparse.hmm._decode_tree, driftparse.hmm._prefix_tree
@@ -293,8 +319,14 @@ class TestViterbiAdaptation:
             adapt_viterbi(bundle_a.hmm, bundle_a.pattern, [])
 
     def test_corpus_without_voting_lines_rejected(self, bundle_a):
-        # one line holds no state, the other one state of many: too few to vote
-        lines = [TokenSequence("e1", ("x", "y")), TokenSequence("e2", (bundle_a.hmm.states[0], "x"))]
+        # one line holds no state, one a state but not the trigger, and the
+        # one that holds the trigger has nothing after it to decode
+        other_state = next(s for s in bundle_a.hmm.states if s != bundle_a.pattern.trigger)
+        lines = [
+            TokenSequence("e1", ("x", "y")),
+            TokenSequence("e2", (other_state, "x")),
+            TokenSequence("e3", ("x", bundle_a.pattern.trigger)),
+        ]
         with pytest.raises(ValueError, match="^no decodable lines in new corpus$"):
             adapt_viterbi(bundle_a.hmm, bundle_a.pattern, lines)
 
@@ -351,12 +383,19 @@ class TestComposedDrifts:
         path = tmp_path_factory.mktemp("composed") / "parsed.csv"
         parsed.write_csv(path)
         assert confusion(load_kpi_table(path), truth, universe) == unadapted
+        refit_refused = False
         try:
             # one iteration: the refit's model does not change its pattern
             refit = adapt_baum_welch(bundle.hmm, bundle.pattern, lines, FitConfig(max_iterations=1))[1]
         except ValueError as exc:
             assert str(exc).startswith(f"refit would drop the trigger {bundle.pattern.trigger!r}")
+            refit_refused = True
         else:
             assert hit_rate(refit, lines, truth)[0] >= sensitivity(unadapted)
-        decoded = adapt_viterbi(bundle.hmm, bundle.pattern, lines)[1]
-        assert hit_rate(decoded, lines, truth)[1].fp <= unadapted.fp
+        try:
+            decoded = adapt_viterbi(bundle.hmm, bundle.pattern, lines)[1]
+        except ValueError as exc:
+            # both strategies read the lines that hold the trigger: with none, both refuse
+            assert refit_refused and str(exc) == "no decodable lines in new corpus"
+        else:
+            assert hit_rate(decoded, lines, truth)[1].fp <= unadapted.fp

@@ -28,7 +28,6 @@ from driftparse.hmm import (
     observation_sequences,
     sequence_loglikelihood,
     state_followers,
-    state_usage,
     viterbi_decode,
 )
 from driftparse.mining import MiningConfig, mine_clusters
@@ -776,12 +775,13 @@ def reference_build_hmm(matching_lines, state_tokens):
     states = tuple(sorted(state_tokens))
     state_set = frozenset(states)
     sidx = {s: i for i, s in enumerate(states)}
-    usage = state_usage(states, matching_lines)
-    start_counts = np.array([usage[s] for s in states], dtype=float)
+    start_counts = np.zeros(len(states))
     trans_counts = np.zeros((len(states), len(states)))
     pair_counts = Counter()
     for line in matching_lines:
         state_seq = [t for t in line.tokens if t in state_set]
+        for s in state_seq:
+            start_counts[sidx[s]] += 1
         for a, b in itertools.pairwise(state_seq):
             trans_counts[sidx[a], sidx[b]] += 1
         pair_counts.update(
