@@ -103,7 +103,8 @@ def adapt_viterbi(
 
     Only the trigger lines with some observation vote: a line without the
     trigger cannot parse, and unrelated lines that merely share a token or
-    two would dilute every consensus.
+    two would dilute every consensus.  A corpus with no voting line, an
+    empty one included, is refused.
 
     The voting lines' observations go to one viterbi_decode call, which
     decodes each distinct encoding once and steps each of their distinct
@@ -120,8 +121,6 @@ def adapt_viterbi(
     CONSENSUS_FRACTION of the voting lines.  The decode stays, as the
     paper's method; that test makes any divergence from the vote visible.
     """
-    if not new_corpus:
-        raise ValueError("new_corpus must be non-empty")
     voters = [obs for obs in observation_sequences(model.states, _trigger_lines(pattern, new_corpus)) if obs]
     voting = len(voters)
     if voting == 0:

@@ -24,8 +24,8 @@ from .corpus import (
 )
 from .evaluate import confusion, format_confusion
 from .hmm import FitConfig
-from .parsing import DEFAULT_KPI
-from .pipeline import parse_records, preprocess_corpus, train
+from .parsing import DEFAULT_KPI, missing_tokens, parse_corpus
+from .pipeline import _preprocess_candidates, preprocess_corpus, train
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -107,10 +107,19 @@ def cmd_train(args) -> int:
 def cmd_parse(args) -> int:
     _refuse_overwrite("-o", args.output, ("the bundle", args.bundle), ("the log", args.log))
     bundle = load_bundle(args.bundle)
+    pattern = bundle.pattern
     records = _load_records(args.log)
-    table = parse_records(bundle.pattern, records)
+    corpus = _preprocess_candidates(pattern, records)
+    table = parse_corpus(pattern, corpus)
     _atomic_write(Path(args.output), lambda tmp: table.write_csv(tmp))
     print(f"parsed {len(table.rows)} rows from {len(records)} lines")
+    # what drift took out of the lines the pattern no longer reads: the five
+    # required tokens most often missing, ties in token order
+    unmatched = sum(pattern.trigger in line.tokens and not pattern.required_tokens <= line.token_set()
+                    for line in corpus)
+    top = sorted(missing_tokens(pattern, corpus).items(), key=lambda item: (-item[1], item[0]))[:5]
+    lack = "; they lack " + ", ".join(f"{token} ({count})" for token, count in top) if top else ""
+    print(f"{unmatched} lines hold the trigger {pattern.trigger} but do not match{lack}")
     return 0
 
 
@@ -125,10 +134,13 @@ def cmd_adapt(args) -> int:
     )
     bundle = load_bundle(args.bundle)
     records = _load_records(args.log)
-    corpus = preprocess_corpus(records)
     if args.strategy == "baum-welch":
+        # the refit fits every line's observations, not only the trigger lines'
+        corpus = preprocess_corpus(records)
         model, pattern, report = adapt_baum_welch(bundle.hmm, bundle.pattern, corpus, config)
     else:
+        # only trigger lines vote, and each is a candidate
+        corpus = _preprocess_candidates(bundle.pattern, records)
         model, pattern, report = adapt_viterbi(bundle.hmm, bundle.pattern, corpus)
     adapted = ModelBundle(model, pattern, bundle.mining_config, bundle.provenance)
     _atomic_write(Path(args.output), lambda tmp: save_bundle(adapted, tmp))

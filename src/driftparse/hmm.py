@@ -24,7 +24,12 @@ shrinks super-exponentially from step to step and soon leaves the normal
 float range, where every operation that touches it takes the CPU's slow
 subnormal path.  After each M-step the EM therefore sets to 0.0 every
 probability below _EM_FLOOR, which the final smoothing could not tell from
-0 anyway.  viterbi_decode is the one Viterbi path.  A path
+0 anyway.  The EM runs on the emission columns its sequences use, not on
+the whole alphabet, which the refit extends with every unseen value.  That
+is exact up to the rounding of the row sums: a column no sequence uses gets
+zero expected count, so the first M-step zeroes it in every row with mass
+and no E-step reads it; a row with no mass keeps its whole row.
+viterbi_decode is the one Viterbi path.  A path
 depends only on the encoded sequence, so it encodes each token sequence
 once and decodes each distinct encoding once, however many sequences
 share it.  It cuts the distinct encodings, sorted by their bytes, into
@@ -150,9 +155,10 @@ class Hmm:
 
 
 def _smooth_rows(counts: np.ndarray) -> np.ndarray:
-    smoothed = counts + SMOOTHING_EPSILON
-    smoothed /= smoothed.sum(axis=-1, keepdims=True)
-    return smoothed
+    """Add SMOOTHING_EPSILON to every entry and row-normalize, in place; returns counts."""
+    counts += SMOOTHING_EPSILON
+    counts /= counts.sum(axis=-1, keepdims=True)
+    return counts
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -479,24 +485,43 @@ def baum_welch_fit(
     added once to the returned model, the one Hmm built, to keep every
     probability strictly positive.
     Symbols unseen by the input model extend its emission alphabet first.
+    The EM then runs on the columns the sequences use, renumbered 0..k-1,
+    and writes them back into the extended matrix at the end.  That is what
+    an EM over every column gives, up to the rounding of the row sums: a
+    column no sequence uses gets zero expected count, so no E-step reads
+    it and a row re-estimated at least once gets 0 there, while a row that
+    never had mass keeps its whole row.
     """
     sequences = [seq for seq in training_sequences if seq]
     if not sequences:
         raise ValueError("training_sequences must contain a non-empty sequence")
     model = extend_alphabet(model, (tok for seq in sequences for tok in seq))
     encoded = [model.encode(seq) for seq in sequences]
+    # the EM runs on the used columns only: symbol observed[j] becomes j
+    observed, renumbered = np.unique(np.concatenate(encoded), return_inverse=True)
+    encoded = np.split(renumbered, np.cumsum([len(obs) for obs in encoded[:-1]]))
 
-    ps, pt, pe = model.ps, model.pt, model.pe
+    ps, pt, pe = model.ps, model.pt, model.pe[:, observed]
+    estimated = np.zeros(len(model.states), dtype=bool)
     trace: list[float] = []
     for _ in range(config.max_iterations):
         ps_acc, pt_acc, pe_acc, total_ll = _expected_counts(ps, pt, pe, encoded)
         trace.append(total_ll)
         if len(trace) > 1 and total_ll - trace[-2] < config.loglik_tolerance:
             break
+        estimated |= pe_acc.any(axis=1)
         ps = ps_acc / ps_acc.sum()
         pt = _renormalize_or_keep(pt_acc, pt)
         pe = _renormalize_or_keep(pe_acc, pe)
         for p in (ps, pt, pe):
             p[p < _EM_FLOOR] = 0.0
 
-    return Hmm(model.states, model.emissions, _smooth_rows(ps), _smooth_rows(pt), _smooth_rows(pe)), trace
+    # a re-estimated row has no mass in an unused column; a row that never
+    # had mass keeps its whole row, whose entries below _EM_FLOOR need no
+    # zeroing: the smoothing cannot tell them from 0
+    fitted_pe = np.where(estimated[:, None], 0.0, model.pe)
+    fitted_pe[:, observed] = pe
+    # the first iteration always runs an M-step, so ps and pt are the EM's own
+    # arrays and smoothing them in place leaves the input model untouched
+    fitted = Hmm(model.states, model.emissions, _smooth_rows(ps), _smooth_rows(pt), _smooth_rows(fitted_pe))
+    return fitted, trace

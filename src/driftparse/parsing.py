@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .hmm import state_followers
@@ -127,3 +128,18 @@ def parse_corpus(pattern: ParsingPattern, corpus: list[TokenSequence]) -> KpiTab
         if value is not None:
             table.add(line.event_id, pattern.kpi_name, value)
     return table
+
+
+def missing_tokens(pattern: ParsingPattern, corpus: list[TokenSequence]) -> Counter[str]:
+    """Per required token, the lines that hold the trigger but lack that token.
+
+    A line that holds the trigger and does not match lacks at least one
+    required token, so the counts name what drift took out of the lines
+    the pattern no longer reads.  Lines that match count nothing.
+    """
+    missing: Counter[str] = Counter()
+    for line in corpus:
+        tokens = line.token_set()
+        if pattern.trigger in tokens:
+            missing.update(pattern.required_tokens - tokens)
+    return missing

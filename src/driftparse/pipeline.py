@@ -68,11 +68,20 @@ def train(
     raise TrainingError(f"no cluster with support >= {threshold} has a state followed by a {kpi_name} value")
 
 
+def _preprocess_candidates(pattern: ParsingPattern, records: list[EventRecord]) -> list[TokenSequence]:
+    """Preprocess only the records whose text may yield the pattern's trigger.
+
+    Every line that holds the trigger is among them, in log order: the
+    lines parse extracts from, Viterbi adapt votes with and missing_tokens
+    counts over.
+    """
+    return preprocess_corpus([r for r in records if may_yield(r.text, pattern.trigger)])
+
+
 def parse_records(pattern: ParsingPattern, records: list[EventRecord]) -> KpiTable:
     """Parse raw records, preprocessing only those whose text may yield the trigger.
 
     The trigger is a required token, so a line that cannot yield it cannot
     match: the table equals parse_corpus over every preprocessed record.
     """
-    candidates = [r for r in records if may_yield(r.text, pattern.trigger)]
-    return parse_corpus(pattern, preprocess_corpus(candidates))
+    return parse_corpus(pattern, _preprocess_candidates(pattern, records))

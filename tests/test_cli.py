@@ -1,16 +1,18 @@
 import inspect
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from driftparse import pipeline
 from driftparse.adapt import CONSENSUS_FRACTION, adapt_baum_welch, adapt_viterbi
 from driftparse.bundle import load_bundle
 from driftparse.cli import _atomic_write, build_parser, main
 from driftparse.corpus import DRIFT_NONE, DRIFT_SYSTEM_B, GeneratorConfig, file_digest, load_log
 from driftparse.hmm import FitConfig
-from driftparse.parsing import DEFAULT_KPI, KpiTable
+from driftparse.parsing import DEFAULT_KPI, KpiTable, missing_tokens
 from driftparse.pipeline import preprocess_corpus, train
 
 from .conftest import A_SEED, B_SEED
@@ -177,9 +179,30 @@ class TestParseEval:
         code, out, err = run(capsys, "parse", str(model), str(log), "-o", str(tmp_path / "parsed.csv"))
         assert code == 0
         assert err == f"warning: {tmp_path}/{warning}\n"
-        assert out == summary + "\n"
+        assert out == summary + "\n" + "0 lines hold the trigger ctdi but do not match\n"
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         assert warning in readme and summary in readme
+
+    def test_parse_names_what_the_drifted_lines_lack(self, tmp_path, capsys):
+        # system_b renames five of the trained cluster's tokens in every scan line
+        assert main(["gen", "--seed", "0", "--events", "1500", "-o", str(tmp_path / "a")]) == 0
+        assert main(["gen", "--seed", "1000", "--events", "1000", "--drift", "system_b", "-o", str(tmp_path / "b")]) == 0
+        model = tmp_path / "model.json"
+        assert main(["train", str(tmp_path / "a/log.tsv"), str(tmp_path / "a/truth.csv"), "-o", str(model)]) == 0
+        capsys.readouterr()
+        out_csv = tmp_path / "parsed.csv"
+        code, out, _ = run(capsys, "parse", str(model), str(tmp_path / "b/log.tsv"), "-o", str(out_csv))
+        assert code == 0
+        lacked = ("mas", "miorgcharabdomen", "mirangestartauto", "mirot", "scanuid")
+        summary, missing = out.splitlines()
+        assert summary == f"parsed {len(KpiTable.from_csv(out_csv.read_text()).rows)} rows from 1000 lines"
+        assert missing == (
+            "353 lines hold the trigger ctdi but do not match; they lack "
+            + ", ".join(f"{token} (353)" for token in lacked)
+        )
+        bundle = load_bundle(model)
+        lines = preprocess_corpus(load_log(tmp_path / "b/log.tsv").records)
+        assert missing_tokens(bundle.pattern, lines) == Counter(dict.fromkeys(lacked, 353))
 
     def test_log_of_only_malformed_lines_errors_and_writes_nothing(self, workdir, tmp_path, capsys):
         log = tmp_path / "log.tsv"
@@ -328,6 +351,43 @@ class TestAdapt:
         assert err.startswith("error: refit would drop the trigger 'ctdi':")
         assert not out_bundle.exists()
         assert not (tmp_path / "out/adapted.json.report.json").exists()
+
+    def test_viterbi_without_a_trigger_line_is_refused_and_writes_nothing(self, workdir, tmp_path, capsys):
+        log = tmp_path / "renamed.tsv"
+        log.write_text((workdir / "b/log.tsv").read_text().replace("@CTDI@=", "@CTDIvol@="))
+        out_bundle = tmp_path / "adapted.json"
+        code, out, err = run(
+            capsys, "adapt", str(workdir / "model.json"), str(log), "--strategy", "viterbi", "-o", str(out_bundle),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: no decodable lines in new corpus\n"
+        assert not out_bundle.exists()
+        assert not (tmp_path / "adapted.json.report.json").exists()
+
+    @pytest.mark.parametrize("strategy", ["baum-welch", "viterbi"])
+    def test_viterbi_preprocesses_the_trigger_candidates_and_the_refit_every_line(
+        self, workdir, tmp_path, capsys, monkeypatch, strategy
+    ):
+        seen, real = [], pipeline.preprocess_event
+
+        def spy(event):
+            seen.append(event)
+            return real(event)
+
+        monkeypatch.setattr(pipeline, "preprocess_event", spy)
+        code, _, _ = run(
+            capsys, "adapt", str(workdir / "model.json"), str(workdir / "b/log.tsv"),
+            "--strategy", strategy, "--max-iterations", "1", "-o", str(tmp_path / "adapted.json"),
+        )
+        assert code == 0
+        records = load_log(workdir / "b/log.tsv").records
+        if strategy == "viterbi":
+            assert seen == [r for r in records if "ctdi" in r.text.lower()]
+            assert len(seen) < len(records)
+        else:
+            # the refit fits every line's observations
+            assert seen == records
 
     def test_report_path_equal_to_the_bundle_path_is_refused(self, workdir, tmp_path, capsys):
         out_bundle = tmp_path / "adapted.json"

@@ -21,6 +21,7 @@ from driftparse.hmm import (
     Hmm,
     _decode_tree,
     _expected_counts,
+    _renormalize_or_keep,
     _smooth_rows,
     baum_welch_fit,
     build_hmm,
@@ -565,6 +566,84 @@ class TestEmFloor:
         same = np.isclose(fitted.pt, reference.pt, rtol=1e-12, atol=0).all(axis=1)
         for _, row_counts, total in ref_steps[-3:]:
             assert (row_counts[~same] < 1e-12 * total).all()
+
+
+def full_alphabet_fit(model, training_sequences, config=FitConfig()):
+    """baum_welch_fit with its EM over every column of the extended alphabet,
+    as driftparse ran it before the EM kept to the columns its sequences use."""
+    sequences = [seq for seq in training_sequences if seq]
+    model = extend_alphabet(model, (tok for seq in sequences for tok in seq))
+    encoded = [model.encode(seq) for seq in sequences]
+    ps, pt, pe = model.ps, model.pt, model.pe
+    trace = []
+    for _ in range(config.max_iterations):
+        ps_acc, pt_acc, pe_acc, total_ll = _expected_counts(ps, pt, pe, encoded)
+        trace.append(total_ll)
+        if len(trace) > 1 and total_ll - trace[-2] < config.loglik_tolerance:
+            break
+        ps = ps_acc / ps_acc.sum()
+        pt = _renormalize_or_keep(pt_acc, pt)
+        pe = _renormalize_or_keep(pe_acc, pe)
+        for p in (ps, pt, pe):
+            p[p < _EM_FLOOR] = 0.0
+    return Hmm(model.states, model.emissions, _smooth_rows(ps), _smooth_rows(pt), _smooth_rows(pe)), trace
+
+
+class TestUsedColumns:
+    """The EM runs on the emission columns its sequences use, and that is exact."""
+
+    def test_equals_the_full_alphabet_em(self, bundle_a, drift_lines):
+        sequences = observation_sequences(bundle_a.hmm.states, drift_lines)
+        fitted, trace = baum_welch_fit(bundle_a.hmm, sequences)
+        reference, ref_trace = full_alphabet_fit(bundle_a.hmm, sequences)
+        assert len(trace) == len(ref_trace) > 1
+        assert trace == pytest.approx(ref_trace, rel=1e-12)
+        assert fitted.emissions == reference.emissions
+        for got, expected in zip((fitted.ps, fitted.pt, fitted.pe), (reference.ps, reference.pt, reference.pe)):
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_e_step_sees_one_column_per_distinct_symbol(self, bundle_a, drift_lines, monkeypatch):
+        sequences = [s for s in observation_sequences(bundle_a.hmm.states, drift_lines) if s]
+        real = driftparse.hmm._expected_counts
+        columns = []
+
+        def spy(ps, pt, pe, encoded):
+            columns.append(pe.shape[1])
+            return real(ps, pt, pe, encoded)
+
+        monkeypatch.setattr(driftparse.hmm, "_expected_counts", spy)
+        fitted, trace = baum_welch_fit(bundle_a.hmm, sequences)
+        used = len({tok for seq in sequences for tok in seq})
+        assert used < len(fitted.emissions)
+        assert columns == [used] * len(trace)
+
+    # s1 never has mass: nothing starts in it and nothing moves to it.  Every
+    # sequence reads e0 only, so e1 and <oov> are unused, and s1's e1 entry
+    # lies below _EM_FLOOR
+    HAND_BUILT = make_hmm([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.3, 0.1], [0.5, 4e-23, 0.5]])
+    HAND_SEQUENCES = [["e0", "e0"], ["e0"]]
+
+    def test_hand_built_rows(self):
+        before = [p.copy() for p in (self.HAND_BUILT.ps, self.HAND_BUILT.pt, self.HAND_BUILT.pe)]
+        fitted, _ = baum_welch_fit(self.HAND_BUILT, self.HAND_SEQUENCES)
+        # the fit smooths its own arrays in place, never the input model's
+        for p, copy in zip((self.HAND_BUILT.ps, self.HAND_BUILT.pt, self.HAND_BUILT.pe), before):
+            assert (p == copy).all()
+        # s0 is re-estimated: all its mass on e0 and exactly the smoothing
+        # floor in the unused columns.  s1 keeps its whole row, unused
+        # columns included, and its entry below _EM_FLOOR comes out as a 0
+        # the EM floored would
+        expected = _smooth_rows(np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]]))
+        assert (fitted.pe == expected).all()
+        floor = SMOOTHING_EPSILON / (1 + 3 * SMOOTHING_EPSILON)
+        assert fitted.pe[0, 1] == fitted.pe[0, 2] == pytest.approx(floor, rel=1e-15)
+
+    def test_hand_built_rows_equal_the_full_alphabet_em(self):
+        fitted, trace = baum_welch_fit(self.HAND_BUILT, self.HAND_SEQUENCES)
+        reference, ref_trace = full_alphabet_fit(self.HAND_BUILT, self.HAND_SEQUENCES)
+        assert trace == ref_trace
+        for got, expected in zip((fitted.ps, fitted.pt, fitted.pe), (reference.ps, reference.pt, reference.pe)):
+            assert (got == expected).all()
 
 
 def rows_sharing_prefixes(symbol):

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from driftparse.parsing import (
     KpiTable,
     ParsingPattern,
+    missing_tokens,
     parse_corpus,
     parse_event,
 )
@@ -170,6 +172,25 @@ class TestParseRecords:
         assert table.as_dict() == truth.as_dict()
         assert all("ctdi" in event.text.lower() for event in seen)
         assert len(seen) == sum("ctdi" in r.text.lower() for r in records) < len(records)
+
+
+class TestMissingTokens:
+    def test_counts_what_each_unmatched_trigger_line_lacks(self):
+        p = pattern({"ctdi", "kv", "mas", "slic"})
+        corpus = [
+            line("ctdi", "16.60", "kv", "mas", "slic"),  # matches: counts nothing
+            line("ctdi", "16.60", "kv"),  # lacks mas and slic
+            line("kv", "ctdi", "9.00", "slic"),  # lacks mas
+            line("kv", "mas"),  # no trigger: counts nothing
+        ]
+        assert missing_tokens(p, corpus) == Counter({"mas": 2, "slic": 1})
+
+    def test_an_alias_is_not_the_trigger(self):
+        p = pattern({"ctdi", "kv"}, aliases={"ctdi", "ctdivol"})
+        assert missing_tokens(p, [line("ctdivol", "16.60", "kv")]) == Counter()
+
+    def test_matching_corpus_lacks_nothing(self, bundle_a, lines_a):
+        assert missing_tokens(bundle_a.pattern, lines_a) == Counter()
 
 
 class TestKpiTable:
