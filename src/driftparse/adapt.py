@@ -41,14 +41,16 @@ class AdaptReport:
     """The evidence an adaptation acted on.
 
     loglik_trace is set by adapt_baum_welch only: the refit's
-    log-likelihood per iteration.  voting_lines and consensus are set by
-    adapt_viterbi only: the number of lines that voted, and each added
-    token with its largest share of those lines over the states it aligned
-    to, sorted by token.
+    log-likelihood per iteration.  voting_lines, distinct_decodes and
+    consensus are set by adapt_viterbi only: the number of lines that
+    voted, the number of distinct encodings among them (each decoded once),
+    and each added token with its largest share of those lines over the
+    states it aligned to, sorted by token.
     """
 
     loglik_trace: tuple[float, ...] = ()
     voting_lines: int = 0
+    distinct_decodes: int = 0
     consensus: tuple[tuple[str, float], ...] = ()
 
 
@@ -107,12 +109,14 @@ def adapt_viterbi(
     empty one included, is refused.
 
     The voting lines' observations go to one viterbi_decode call, which
-    decodes each distinct encoding once and steps each of their distinct
-    prefixes once; on a drifted log most unseen values encode as <oov>, and
-    the 599 voting lines of the benchmark's Viterbi workload at seed 0 hold
-    204 distinct encodings of 9,166 symbols but 3,458 distinct prefixes.
-    Each line still votes with its own raw tokens, never with their
-    encoding.
+    decodes each distinct encoding once, and in each group of encodings
+    steps each distinct prefix once; on a drifted log most unseen values
+    encode as <oov>, and the 599 voting lines of the benchmark's Viterbi
+    workload at seed 0 hold 204 distinct encodings of 9,166 symbols but
+    3,458 distinct prefixes, which their one group steps once each.  The
+    lines that encode alike share one result object, so the report counts
+    the distinct decodes off the results.  Each line still votes with its
+    own raw tokens, never with their encoding.
 
     On the corpora the tests check (acceptance 4's drifted log and generated
     system_b logs of seeds 0-9), the adapted pattern does not depend on the
@@ -125,8 +129,9 @@ def adapt_viterbi(
     voting = len(voters)
     if voting == 0:
         raise ValueError("no decodable lines in new corpus")
+    decoded = viterbi_decode(model, voters)
     pair_line_counts: Counter[tuple[str, int]] = Counter()
-    for obs, (path, _) in zip(voters, viterbi_decode(model, voters)):
+    for obs, (path, _) in zip(voters, decoded):
         pair_line_counts.update(set(zip(obs, path)))
     shares: dict[str, float] = {}
     for (token, _), count in pair_line_counts.items():
@@ -134,5 +139,9 @@ def adapt_viterbi(
         if share >= CONSENSUS_FRACTION and token not in pattern.required_tokens:
             shares[token] = max(share, shares.get(token, 0.0))
     adapted = replace(pattern, required_tokens=pattern.required_tokens | frozenset(shares))
-    report = AdaptReport(voting_lines=voting, consensus=tuple(sorted(shares.items())))
+    report = AdaptReport(
+        voting_lines=voting,
+        distinct_decodes=len(set(map(id, decoded))),
+        consensus=tuple(sorted(shares.items())),
+    )
     return model, adapted, report

@@ -150,6 +150,7 @@ def cmd_adapt(args) -> int:
         "required_tokens_after": sorted(pattern.required_tokens),
         "loglik_trace": list(report.loglik_trace),
         "voting_lines": report.voting_lines,
+        "distinct_decodes": report.distinct_decodes,
         "consensus": dict(report.consensus),
     }
 

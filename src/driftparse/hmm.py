@@ -37,9 +37,13 @@ groups of at most _DECODE_BATCH and decodes each group over the prefix
 tree of its rows, so rows that share a prefix share its steps.  The tree
 is read off neighbouring rows: a row shares the node of the row before it
 at each level while the two agree, and the byte order puts the rows that
-share a prefix side by side.  A step fills one (W, N, N) score buffer for
-the W nodes of one level and takes one argmax.  A single sequence is a
-group of one, so the oracle tests check the very code adaptation runs.
+share a prefix side by side.  A trained transition matrix is nearly a
+chain: most entries of a row equal its minimum, the smoothing floor.  So a
+step scores each from-state once at its row's minimum and each to-state's
+few larger entries apart, K per to-state at most, and takes the better of
+the two: O(N * K) per node of a level, not O(N^2), with the dense step's
+result bit for bit.  A single sequence is a group of one, so the oracle
+tests check the very code adaptation runs.
 
 Unknown symbols at inference time map to a reserved out-of-vocabulary
 emission column that carries only smoothing-floor mass; drifted logs
@@ -72,10 +76,11 @@ _ROW_SUM_ATOL = 1e-9
 # most sequences one E-step batch stacks: bounds its (T, B, N) arrays
 _BATCH_SEQUENCES = 256
 
-# most distinct encodings one Viterbi group holds: bounds its (W, N, N)
-# score buffer and its back-pointers, one (W, N) array per level, W being
-# at most the rows; a larger group shares more prefixes, at more peak memory
-_DECODE_BATCH = 64
+# most distinct encodings one Viterbi group holds: bounds its (W, N, K)
+# score array and its back-pointers, one (W, N) array per level, W being
+# at most the rows; a larger group shares more prefixes and spreads each
+# level's numpy calls over more nodes, at more peak memory
+_DECODE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,30 @@ class Hmm:
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(log ps, log pt, log pe), log pe transposed: one contiguous row per symbol."""
         return _log(self.ps), _log(self.pt), np.ascontiguousarray(_log(self.pe).T)
+
+    @cached_property
+    def _log_pt_above_floor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(floor, origin, larger): log pt as each row's minimum plus the entries above it.
+
+        floor[i] is the minimum of row i of log pt.  Column j of origin
+        lists, in ascending order, the from-states i whose entry log pt[i, j]
+        lies above floor[i], and column j of larger holds those entries;
+        both are (K, N), padded to the longest such list K (at least 1) with
+        origin 0 and -inf.  A padding entry scores -inf, so it can decide a
+        step only where every candidate scores -inf, and there the step
+        points back to state 0, as the dense max-plus step does.
+        """
+        log_pt = self._log_tables[1]
+        floor = log_pt.min(axis=1)
+        # (j, i) pairs with i ascending within each j
+        to, origin_of = np.nonzero((log_pt > floor[:, None]).T)
+        slot = np.arange(len(to)) - np.searchsorted(to, to)
+        width = max(1, slot.max(initial=-1) + 1)
+        origin = np.zeros((width, len(self.states)), dtype=np.intp)
+        larger = np.full((width, len(self.states)), -np.inf)
+        origin[slot, to] = origin_of
+        larger[slot, to] = log_pt[origin_of, to]
+        return floor, origin, larger
 
     def encode(self, observations: list[str]) -> np.ndarray:
         """Map observation tokens to emission indices; unknown -> OOV."""
@@ -310,11 +339,26 @@ def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], fl
 
     Rows that share a node share its steps: level t of the prefix tree
     (_prefix_tree) holds prefixes of length t + 1, and each node is stepped
-    once from the scores of its parent.  scores[w, j, i] is node w's best
-    score of reaching state j from state i, so one argmax over the last
-    axis gives every back-pointer of a level.  The best score is then read
-    at that argmax through a flat index instead of reducing a second time:
-    the value at the first argmax is the maximum bit for bit, as the log
+    once from the scores of its parent.  A step reads log pt as each row's
+    floor plus the few entries above it (Hmm._log_pt_above_floor), so it
+    costs O(N * K) per node, not O(N^2), K being the most entries above
+    their floor that one to-state has.  For the W nodes of a level:
+
+    * at_floor = delta + floor scores every from-state i at its floor; its
+      first argmax is lowest and its best score floor_best (W, 1);
+    * scores[w, e, j] = delta[w, origin[e, j]] + larger[e, j] scores the
+      entries above the floor, (W, K, N); its maximum over e is above_best,
+      and above is the lowest from-state that reaches it.
+
+    An entry above its row's floor gives a score no lower than the floor
+    score of the same from-state, as float addition rounds monotonically,
+    so the best score over every from-state is max(above_best, floor_best)
+    and its lowest argmax is above where above_best is larger, lowest where
+    floor_best is, and the lower of the two where they tie.  The written
+    score is the same float sum as the dense max-plus step takes at that
+    argmax, -inf (a zero probability) included.  floor_best is read at its
+    argmax through a flat index instead of reducing a second time: the
+    value at the first argmax is the maximum bit for bit, as the log
     tables hold no NaN (an Hmm refuses non-finite probabilities).  A row
     takes its last state and log-probability at the level where it ends,
     and one back-trace walks every row alive at a level at once.  The rows
@@ -322,8 +366,8 @@ def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], fl
     in any order; an order that puts rows sharing a prefix side by side
     only shares more steps.
     """
-    log_ps, log_pt, log_pe_by_symbol = model._log_tables
-    log_pt_to_from = np.ascontiguousarray(log_pt.T)
+    log_ps, _, log_pe_by_symbol = model._log_tables
+    floor, origin, larger = model._log_pt_above_floor
     n = len(model.states)
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     longest = lengths.max()
@@ -333,10 +377,8 @@ def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], fl
     starts, node = _prefix_tree(symbols, alive)
 
     width = starts.sum(axis=1).max()
-    scores = np.empty((width, n, n))
-    # flat position of scores[w, j, 0]; adding a back-pointer i gives scores[w, j, i]
-    offsets = np.arange(width * n).reshape(width, n) * n
-    flat = np.empty((width, n), dtype=np.intp)
+    # flat position of at_floor[w, 0]; adding an argmax i gives at_floor[w, i]
+    floor_offsets = np.arange(width)[:, None] * n
     backs = [None]  # level 0 has no parent to point back to
     last = np.empty(len(rows), dtype=np.intp)
     logp = np.empty(len(rows))
@@ -346,11 +388,17 @@ def _decode_tree(model: Hmm, rows: list[np.ndarray]) -> list[tuple[list[int], fl
             delta = log_ps + log_pe_by_symbol[symbols[0, first]]
         else:
             nodes = len(first)
-            step = scores[:nodes]
-            np.add(delta[node[t - 1, first]][:, None, :], log_pt_to_from, out=step)
-            back = step.argmax(axis=2)
-            np.add(back, offsets[:nodes], out=flat[:nodes])
-            delta = step.take(flat[:nodes])
+            parent = delta[node[t - 1, first]]
+            at_floor = parent + floor
+            lowest = at_floor.argmax(axis=1)[:, None]
+            floor_best = at_floor.take(lowest + floor_offsets[:nodes])
+            scores = parent[:, origin]
+            scores += larger
+            above_best = scores.max(axis=1)
+            above = np.where(scores == above_best[:, None], origin, n).min(axis=1)
+            delta = np.maximum(above_best, floor_best)
+            back = np.where(above_best > floor_best, above, lowest)
+            np.minimum(back, above, out=back, where=above_best == floor_best)
             delta += log_pe_by_symbol[symbols[t, first]]
             backs.append(back)
         ending = np.flatnonzero(lengths == t + 1)

@@ -225,6 +225,9 @@ class TestViterbiAdaptation:
         monkeypatch.setattr(driftparse.adapt, "viterbi_decode", decode_spy)
         monkeypatch.setattr(driftparse.hmm, "_decode_tree", group_spy)
         monkeypatch.setattr(driftparse.hmm, "_prefix_tree", tree_spy)
+        # the fixture holds 102 distinct encodings, fewer than the default
+        # bound: a smaller one makes the groups split
+        monkeypatch.setattr(driftparse.hmm, "_DECODE_BATCH", 64)
         _, _, report = adapt_viterbi(model, bundle_a.pattern, lines_b)
         # one call takes every voting line's own tokens
         [decoded] = calls
@@ -235,6 +238,7 @@ class TestViterbiAdaptation:
         grouped = [np.array(row, dtype=np.intp).tobytes() for group in groups for row in group]
         assert sorted(grouped) == sorted(distinct)
         assert len(grouped) == len(distinct) < len(voting)
+        assert report.distinct_decodes == len(distinct)
         # the groups cut the distinct encodings into as few bounded groups as can hold them
         bound = driftparse.hmm._DECODE_BATCH
         assert all(1 <= len(group) <= bound for group in groups)

@@ -289,7 +289,7 @@ class TestAdapt:
         report = json.loads((tmp_path / "adapted.json.report.json").read_text())
         assert len(report["required_tokens_after"]) < len(report["required_tokens_before"])
         assert report["loglik_trace"]
-        assert report["voting_lines"] == 0 and report["consensus"] == {}
+        assert report["voting_lines"] == report["distinct_decodes"] == 0 and report["consensus"] == {}
         doc = json.loads(out_bundle.read_text())
         assert doc["pattern"]["required_tokens"] == report["required_tokens_after"]
 
@@ -317,6 +317,8 @@ class TestAdapt:
         lines = preprocess_corpus(load_log(workdir / "b/log.tsv").records)
         _, _, expected = adapt_viterbi(bundle.hmm, bundle.pattern, lines)
         assert report["voting_lines"] == expected.voting_lines > 0
+        assert report["distinct_decodes"] == expected.distinct_decodes
+        assert 1 <= report["distinct_decodes"] < report["voting_lines"]
         assert report["consensus"] == dict(expected.consensus)
         added = set(report["required_tokens_after"]) - set(report["required_tokens_before"])
         assert set(report["consensus"]) == added

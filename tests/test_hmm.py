@@ -747,6 +747,51 @@ class TestViterbi:
         decoded = _decode_tree(model, [model.encode(row) for row in rows])
         assert decoded == [decode_one(model, row) for row in rows]
 
+    def test_transition_table_by_hand(self):
+        model = make_hmm(
+            [0.5, 0.25, 0.25],
+            # row 0 ties at its floor; row 1 repeats a value above it; row 2 has a zero
+            [[0.5, 0.25, 0.25], [0.4, 0.4, 0.2], [0.0, 0.3, 0.7]],
+            [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+        )
+        floor, origin, larger = model._log_pt_above_floor
+        assert floor.tolist() == [math.log(0.25), math.log(0.2), -math.inf]
+        assert (floor == model._log_tables[1].min(axis=1)).all()
+        # per to-state, the from-states above their floor in ascending order,
+        # padded with origin 0 and -inf to the longest list
+        assert origin.T.tolist() == [[0, 1], [1, 2], [2, 0]]
+        assert larger.T.tolist() == [
+            [math.log(0.5), math.log(0.4)],
+            [math.log(0.4), math.log(0.3)],
+            [math.log(0.7), -math.inf],
+        ]
+
+    @pytest.mark.parametrize("above_floor", [0, 1])
+    def test_floor_and_larger_entry_tie_breaks_to_lowest_index(self, above_floor):
+        # into state 0, one of states 0 and 1 has an entry above its floor 0.2
+        # and the other its floor, both 0.3: the two tie, and 0 must win
+        chain, flat = [0.3, 0.5, 0.2], [0.3, 0.35, 0.35]
+        model = make_hmm(
+            [0.5, 0.5, 0.0],
+            [chain, flat, flat] if above_floor == 0 else [flat, chain, flat],
+            [[0.5, 0.4, 0.1], [0.5, 0.1, 0.4], [0.5, 0.1, 0.4]],
+            emissions=("x", "y", OOV_TOKEN),
+        )
+        _, origin, larger = model._log_pt_above_floor
+        assert origin[:, 0][larger[:, 0] > -math.inf].tolist() == [above_floor]
+        assert decode_one(model, ["x", "y"]) == two_reduction_viterbi(model, ["x", "y"])
+        assert decode_one(model, ["x", "y"])[0] == [0, 0]
+
+    def test_trained_chain_equals_two_reduction_reference_exactly(self, bundle_a, lines_b):
+        # a trained model's transitions are nearly a chain, but some state is
+        # entered from more than one entry above its row's floor
+        model = bundle_a.hmm
+        _, origin, _ = model._log_pt_above_floor
+        assert 1 < len(origin) < len(model.states)
+        lines = [line for line in lines_b if bundle_a.pattern.trigger in line.tokens]
+        voting = [obs for obs in observation_sequences(model.states, lines) if obs]
+        assert viterbi_decode(model, voting) == [two_reduction_viterbi(model, obs) for obs in voting]
+
     def test_mixed_lengths_keep_their_order(self, monkeypatch):
         model = make_hmm(
             [0.6, 0.4],
