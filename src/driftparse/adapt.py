@@ -1,8 +1,8 @@
 """Model adaptation to drifted corpora.
 
 Two strategies with opposite failure modes, both deliberately preserved.
-Both read the same lines of the new corpus, its trigger lines: those that
-hold the pattern's trigger, the only lines parse can extract a value from.
+Both read the same lines of the new corpus, its trigger lines, which
+parsing.trigger_lines defines for parse and adaptation alike.
 
 * Baum-Welch refit generalizes.  The model is re-estimated on the new
   corpus and states that fewer than CONSENSUS_FRACTION of the trigger
@@ -24,16 +24,11 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .hmm import FitConfig, Hmm, baum_welch_fit, observation_sequences, viterbi_decode
-from .parsing import ParsingPattern
+from .parsing import ParsingPattern, trigger_lines
 from .preprocess import TokenSequence
 
 # a constant, not a parameter: every result the tests pin is measured at it
 CONSENSUS_FRACTION = 0.8
-
-
-def _trigger_lines(pattern: ParsingPattern, corpus: list[TokenSequence]) -> list[TokenSequence]:
-    """The lines that hold the trigger: a required token, so no other line can parse."""
-    return [line for line in corpus if pattern.trigger in line.tokens]
 
 
 @dataclass(frozen=True)
@@ -70,17 +65,15 @@ def adapt_baum_welch(
     dropped states.  A corpus in which no line holds the trigger is
     refused with a ValueError naming it: the refit would drop it, and
     without a truth table there is no value to choose another trigger by.
-    So is a corpus with no state-relevant observation, both before the
-    refit runs.  The Baum-Welch refit does not affect the pattern; it fits
-    every line's observations and only produces the model returned here
-    and saved into the bundle.
+    So is a corpus with no state-relevant observation, an empty one
+    included, both before the refit runs.  The Baum-Welch refit does not
+    affect the pattern; it fits every line's observations and only
+    produces the model returned here and saved into the bundle.
     """
-    if not new_corpus:
-        raise ValueError("new_corpus must be non-empty")
     sequences = [s for s in observation_sequences(model.states, new_corpus) if s]
     if not sequences:
         raise ValueError("no state-relevant observations in new corpus")
-    lines = _trigger_lines(pattern, new_corpus)
+    lines = trigger_lines(pattern, new_corpus)
     if not lines:
         raise ValueError(
             f"refit would drop the trigger {pattern.trigger!r}: it occurs 0 times, "
@@ -103,10 +96,9 @@ def adapt_viterbi(
 ) -> tuple[Hmm, ParsingPattern, AdaptReport]:
     """Decode the new corpus and add consistently aligned tokens to the pattern.
 
-    Only the trigger lines with some observation vote: a line without the
-    trigger cannot parse, and unrelated lines that merely share a token or
-    two would dilute every consensus.  A corpus with no voting line, an
-    empty one included, is refused.
+    Only the trigger lines with some observation vote: unrelated lines
+    that merely share a token or two would dilute every consensus.  A
+    corpus with no voting line, an empty one included, is refused.
 
     The voting lines' observations go to one viterbi_decode call, which
     decodes each distinct encoding once, and in each group of encodings
@@ -125,7 +117,7 @@ def adapt_viterbi(
     CONSENSUS_FRACTION of the voting lines.  The decode stays, as the
     paper's method; that test makes any divergence from the vote visible.
     """
-    voters = [obs for obs in observation_sequences(model.states, _trigger_lines(pattern, new_corpus)) if obs]
+    voters = [obs for obs in observation_sequences(model.states, trigger_lines(pattern, new_corpus)) if obs]
     voting = len(voters)
     if voting == 0:
         raise ValueError("no decodable lines in new corpus")

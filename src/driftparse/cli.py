@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -25,20 +26,39 @@ from .corpus import (
 from .evaluate import confusion, format_confusion
 from .hmm import FitConfig
 from .parsing import DEFAULT_KPI, missing_tokens, parse_corpus
-from .pipeline import _preprocess_candidates, preprocess_corpus, train
+from .pipeline import preprocess_candidates, preprocess_corpus, train
 
 
 def _atomic_write(path: Path, writer) -> None:
-    """Write via temp file + rename so readers never see partial output."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
+    """Write one file via temp file + rename so readers never see partial output."""
+    _atomic_write_all([(path, writer)])
+
+
+def _atomic_write_all(outputs) -> None:
+    """Write each (path, writer) pair to a temp file beside its path, then rename each into place.
+
+    A path that is a directory, which no rename can replace, is refused
+    before any writer runs, and every writer runs before the first rename,
+    so a failure here leaves none of the outputs written and no temp file.
+    An output may name an input of the run, so nothing else is deleted.
+    """
+    for path, _ in outputs:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    tmps = []
     try:
-        writer(tmp)
-        os.replace(tmp, path)
+        for path, writer in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+            os.close(fd)
+            tmps.append(tmp)
+            writer(tmp)
+        for (path, _), tmp in zip(outputs, tmps):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -109,15 +129,14 @@ def cmd_parse(args) -> int:
     bundle = load_bundle(args.bundle)
     pattern = bundle.pattern
     records = _load_records(args.log)
-    corpus = _preprocess_candidates(pattern, records)
+    corpus = preprocess_candidates(pattern, records)
     table = parse_corpus(pattern, corpus)
     _atomic_write(Path(args.output), lambda tmp: table.write_csv(tmp))
     print(f"parsed {len(table.rows)} rows from {len(records)} lines")
     # what drift took out of the lines the pattern no longer reads: the five
     # required tokens most often missing, ties in token order
-    unmatched = sum(pattern.trigger in line.tokens and not pattern.required_tokens <= line.token_set()
-                    for line in corpus)
-    top = sorted(missing_tokens(pattern, corpus).items(), key=lambda item: (-item[1], item[0]))[:5]
+    unmatched, missing = missing_tokens(pattern, corpus)
+    top = sorted(missing.items(), key=lambda item: (-item[1], item[0]))[:5]
     lack = "; they lack " + ", ".join(f"{token} ({count})" for token, count in top) if top else ""
     print(f"{unmatched} lines hold the trigger {pattern.trigger} but do not match{lack}")
     return 0
@@ -140,10 +159,9 @@ def cmd_adapt(args) -> int:
         model, pattern, report = adapt_baum_welch(bundle.hmm, bundle.pattern, corpus, config)
     else:
         # only trigger lines vote, and each is a candidate
-        corpus = _preprocess_candidates(bundle.pattern, records)
+        corpus = preprocess_candidates(bundle.pattern, records)
         model, pattern, report = adapt_viterbi(bundle.hmm, bundle.pattern, corpus)
     adapted = ModelBundle(model, pattern, bundle.mining_config, bundle.provenance)
-    _atomic_write(Path(args.output), lambda tmp: save_bundle(adapted, tmp))
     report_doc = {
         "strategy": args.strategy,
         "required_tokens_before": sorted(bundle.pattern.required_tokens),
@@ -159,7 +177,8 @@ def cmd_adapt(args) -> int:
             json.dump(report_doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    _atomic_write(report_path, write_report)
+    # one step for both, so a report that cannot be written leaves -o as it was
+    _atomic_write_all([(Path(args.output), lambda tmp: save_bundle(adapted, tmp)), (report_path, write_report)])
     print(f"strategy: {args.strategy}")
     print(f"required tokens: {len(bundle.pattern.required_tokens)} -> {len(pattern.required_tokens)}")
     print(f"trigger: {bundle.pattern.trigger} -> {pattern.trigger}")

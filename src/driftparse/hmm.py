@@ -224,8 +224,9 @@ def build_hmm(matching_lines: list[TokenSequence], state_tokens) -> Hmm:
     Start counts are each state token's occurrences across the lines;
     transitions are bigrams over the line's state-token subsequence, its
     state run (non-state tokens are skipped); emissions are the
-    state_followers pairs whose follower is not a state token.  Counts are
-    smoothed by SMOOTHING_EPSILON and row-normalized.
+    state_followers pairs whose follower is not a state token, a follower
+    spelled <oov> counting in the OOV column that encode maps it to.
+    Counts are smoothed by SMOOTHING_EPSILON and row-normalized.
     """
     if not matching_lines:
         raise ValueError("matching_lines must be non-empty")
@@ -258,7 +259,7 @@ def build_hmm(matching_lines: list[TokenSequence], state_tokens) -> Hmm:
         for a, b in pairwise(run):
             trans_counts[sidx[a], sidx[b]] += n
 
-    alphabet = tuple(sorted({e for _, e in pair_counts})) + (OOV_TOKEN,)
+    alphabet = tuple(sorted({e for _, e in pair_counts} - {OOV_TOKEN})) + (OOV_TOKEN,)
     eidx = {e: k for k, e in enumerate(alphabet)}
     emit_counts = np.zeros((len(states), len(alphabet)))
     for (a, e), n in pair_counts.items():

@@ -14,6 +14,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .hmm import state_followers
 from .preprocess import TokenSequence, is_number, normalize_number
@@ -130,16 +131,23 @@ def parse_corpus(pattern: ParsingPattern, corpus: list[TokenSequence]) -> KpiTab
     return table
 
 
-def missing_tokens(pattern: ParsingPattern, corpus: list[TokenSequence]) -> Counter[str]:
-    """Per required token, the lines that hold the trigger but lack that token.
+def trigger_lines(pattern: ParsingPattern, corpus: list[TokenSequence]) -> list[TokenSequence]:
+    """The lines whose tokens hold the pattern's trigger, in corpus order.
 
-    A line that holds the trigger and does not match lacks at least one
-    required token, so the counts name what drift took out of the lines
-    the pattern no longer reads.  Lines that match count nothing.
+    The one rule for which lines a pattern reads: the trigger is a required
+    token, so no other line can match.  parse, missing_tokens and both adapt
+    strategies read only these lines; one holding only an alias is not one
+    of them.  pipeline.preprocess_candidates is the rule's text half.
     """
-    missing: Counter[str] = Counter()
-    for line in corpus:
-        tokens = line.token_set()
-        if pattern.trigger in tokens:
-            missing.update(pattern.required_tokens - tokens)
-    return missing
+    return [line for line in corpus if pattern.trigger in line.tokens]
+
+
+def missing_tokens(pattern: ParsingPattern, corpus: list[TokenSequence]) -> tuple[int, Counter[str]]:
+    """The trigger lines that do not match, and per required token how many of them lack it.
+
+    A trigger line that does not match lacks at least one required token,
+    so the counts name what drift took out of the lines the pattern no
+    longer reads.  Lines that match count nothing.
+    """
+    lacked = [pattern.required_tokens - line.token_set() for line in trigger_lines(pattern, corpus)]
+    return sum(map(bool, lacked)), Counter(chain.from_iterable(lacked))

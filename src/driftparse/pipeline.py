@@ -68,12 +68,12 @@ def train(
     raise TrainingError(f"no cluster with support >= {threshold} has a state followed by a {kpi_name} value")
 
 
-def _preprocess_candidates(pattern: ParsingPattern, records: list[EventRecord]) -> list[TokenSequence]:
+def preprocess_candidates(pattern: ParsingPattern, records: list[EventRecord]) -> list[TokenSequence]:
     """Preprocess only the records whose text may yield the pattern's trigger.
 
-    Every line that holds the trigger is among them, in log order: the
-    lines parse extracts from, Viterbi adapt votes with and missing_tokens
-    counts over.
+    The text half of parsing.trigger_lines: every record behind a trigger
+    line is among them, in log order, so trigger_lines over the result
+    equals trigger_lines over every preprocessed record.
     """
     return preprocess_corpus([r for r in records if may_yield(r.text, pattern.trigger)])
 
@@ -81,7 +81,7 @@ def _preprocess_candidates(pattern: ParsingPattern, records: list[EventRecord]) 
 def parse_records(pattern: ParsingPattern, records: list[EventRecord]) -> KpiTable:
     """Parse raw records, preprocessing only those whose text may yield the trigger.
 
-    The trigger is a required token, so a line that cannot yield it cannot
-    match: the table equals parse_corpus over every preprocessed record.
+    Only trigger lines can match (parsing.trigger_lines), so the table
+    equals parse_corpus over every preprocessed record.
     """
-    return parse_corpus(pattern, _preprocess_candidates(pattern, records))
+    return parse_corpus(pattern, preprocess_candidates(pattern, records))

@@ -11,7 +11,7 @@ from driftparse.adapt import CONSENSUS_FRACTION, adapt_baum_welch, adapt_viterbi
 from driftparse.corpus import DRIFT_SYSTEM_B, GeneratorConfig, generate_corpus, load_kpi_table
 from driftparse.evaluate import confusion, sensitivity
 from driftparse.hmm import OOV_TOKEN, FitConfig, Hmm, build_hmm, observation_sequences
-from driftparse.parsing import ParsingPattern, parse_corpus
+from driftparse.parsing import ParsingPattern, missing_tokens, parse_corpus
 from driftparse.pipeline import parse_records, preprocess_corpus, train
 from driftparse.preprocess import TokenSequence
 
@@ -149,7 +149,7 @@ class TestBaumWelchAdaptation:
         assert pattern.required_tokens == bundle_a.pattern.required_tokens
 
     def test_empty_corpus_rejected(self, bundle_a):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^no state-relevant observations in new corpus$"):
             adapt_baum_welch(bundle_a.hmm, bundle_a.pattern, [])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -319,7 +319,7 @@ class TestViterbiAdaptation:
         assert pattern.required_tokens == anchored_vote(trained.pattern, trained.hmm.states, lines)
 
     def test_empty_corpus_rejected(self, bundle_a):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^no decodable lines in new corpus$"):
             adapt_viterbi(bundle_a.hmm, bundle_a.pattern, [])
 
     def test_corpus_without_voting_lines_rejected(self, bundle_a):
@@ -358,6 +358,24 @@ class TestDirectionalContract:
         assert base_hits < 0.2  # drift mostly breaks the unadapted pattern
         assert bw_hits > 0.9  # generalizing recovers the misses
         assert bw_cm.fp > base_cm.fp  # at the cost of new false alarms
+
+
+def test_a_line_holding_only_a_non_trigger_alias_is_no_trigger_line():
+    # mas is in each of the 5 lines holding the trigger ctdi and in none of
+    # the 20 holding only its alias ctdivol, each of which has an
+    # observation and would lack ctdi and mas
+    scans = [TokenSequence(f"s{i}", ("ctdi", f"{i}.00", "kv", "x", "mas", "y")) for i in range(5)]
+    aliased = [TokenSequence(f"a{i}", ("ctdivol", f"{i}.00", "kv", "z")) for i in range(20)]
+    lines = scans + aliased
+    states = frozenset({"ctdi", "kv", "mas"})
+    model = build_hmm(lines, states)
+    pattern = ParsingPattern(states, "ctdi", "ctdi", frozenset({"ctdi", "ctdivol"}))
+    _, refit, _ = adapt_baum_welch(model, pattern, lines, FitConfig(max_iterations=1))
+    assert refit.required_tokens == states
+    _, decoded, report = adapt_viterbi(model, pattern, lines)
+    assert report.voting_lines == 5
+    assert "z" not in decoded.required_tokens
+    assert missing_tokens(pattern, lines) == (0, Counter())
 
 
 @cache

@@ -111,6 +111,19 @@ class TestTrain:
         assert code == 0
         assert "sensitivity 100.0%" in out
 
+    def test_a_literal_oov_token_in_the_log_trains(self, workdir, tmp_path, capsys):
+        # the model's out-of-vocabulary symbol, written as a value in the log
+        log = tmp_path / "log.tsv"
+        text = (workdir / "a/log.tsv").read_text()
+        assert "@Kind@=#MIRot#" in text
+        log.write_text(text.replace("@Kind@=#MIRot#", "@Kind@=#<oov>#", 1))
+        model = tmp_path / "model.json"
+        code, out, err = run(capsys, "train", str(log), str(workdir / "a/truth.csv"), "-o", str(model))
+        assert (code, err) == (0, "")
+        assert "trigger: ctdi" in out
+        emissions = load_bundle(model).hmm.emissions
+        assert emissions.count("<oov>") == 1 and emissions[-1] == "<oov>"
+
     def test_alias_not_in_token_form_errors_and_writes_nothing(self, workdir, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", str(workdir / "a/log.tsv"), str(workdir / "a/truth.csv"),
@@ -202,7 +215,7 @@ class TestParseEval:
         )
         bundle = load_bundle(model)
         lines = preprocess_corpus(load_log(tmp_path / "b/log.tsv").records)
-        assert missing_tokens(bundle.pattern, lines) == Counter(dict.fromkeys(lacked, 353))
+        assert missing_tokens(bundle.pattern, lines) == (353, Counter(dict.fromkeys(lacked, 353)))
 
     def test_log_of_only_malformed_lines_errors_and_writes_nothing(self, workdir, tmp_path, capsys):
         log = tmp_path / "log.tsv"
@@ -390,6 +403,25 @@ class TestAdapt:
         else:
             # the refit fits every line's observations
             assert seen == records
+
+    @pytest.mark.parametrize("onto_input", [False, True])
+    def test_report_that_cannot_be_written_leaves_the_output_unwritten(self, workdir, tmp_path, capsys, onto_input):
+        # the report path is a directory; -o may name the input bundle, which must then keep its bytes
+        model = tmp_path / "model.json"
+        model.write_bytes((workdir / "model.json").read_bytes())
+        out_bundle = model if onto_input else tmp_path / "adapted.json"
+        report = tmp_path / "report"
+        report.mkdir()
+        code, out, err = run(
+            capsys, "adapt", str(model), str(workdir / "b/log.tsv"),
+            "--strategy", "viterbi", "-o", str(out_bundle), "--report", str(report),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [Errno 21] Is a directory: '{report}'\n"
+        assert sorted(tmp_path.iterdir()) == [model, report]
+        assert model.read_bytes() == (workdir / "model.json").read_bytes()
+        assert list(report.iterdir()) == []
 
     def test_report_path_equal_to_the_bundle_path_is_refused(self, workdir, tmp_path, capsys):
         out_bundle = tmp_path / "adapted.json"

@@ -884,6 +884,15 @@ class TestBuildHmm:
         assert model.emissions[-1] == OOV_TOKEN
         assert model.pe[0, -1] < 1e-5
 
+    def test_a_follower_spelled_oov_counts_in_the_oov_column(self):
+        # a log may hold the literal token; encode maps it to the OOV column
+        corpus = self.lines(["a", OOV_TOKEN], ["a", "x"])
+        model = build_hmm(corpus, {"a"})
+        eps = SMOOTHING_EPSILON
+        assert model.emissions == ("x", OOV_TOKEN)
+        assert model.pe[0, -1] == pytest.approx((1 + eps) / (2 + 2 * eps), rel=1e-12)
+        assert model.encode([OOV_TOKEN, "x"]).tolist() == [1, 0]
+
     def test_rows_are_stochastic(self, bundle_a):
         assert_valid_and_smoothed(bundle_a.hmm)
 

@@ -10,6 +10,7 @@ from driftparse.parsing import (
     missing_tokens,
     parse_corpus,
     parse_event,
+    trigger_lines,
 )
 from driftparse import pipeline
 from driftparse.adapt import adapt_baum_welch
@@ -174,6 +175,25 @@ class TestParseRecords:
         assert len(seen) == sum("ctdi" in r.text.lower() for r in records) < len(records)
 
 
+class TestTriggerLines:
+    def test_lines_holding_the_trigger_in_order_and_no_alias_only_line(self):
+        p = pattern({"ctdi", "kv"}, aliases={"ctdi", "ctdivol"})
+        corpus = [
+            line("kv", "ctdi", event_id="a"),
+            line("ctdivol", "16.60", "kv", event_id="b"),
+            line("ctdi", "1.00", event_id="c"),
+        ]
+        assert trigger_lines(p, corpus) == [corpus[0], corpus[2]]
+
+    @pytest.mark.parametrize("drift", ["none", "system_b"])
+    def test_the_candidates_hold_every_trigger_line(self, bundle_a, drift):
+        records, _ = generate_corpus(GeneratorConfig(seed=3, n_events=400, drift_profile=drift))
+        for p in (bundle_a.pattern, SLOT_PATTERN):
+            expected = trigger_lines(p, preprocess_corpus(records + SLOT_RECORDS))
+            assert expected
+            assert trigger_lines(p, pipeline.preprocess_candidates(p, records + SLOT_RECORDS)) == expected
+
+
 class TestMissingTokens:
     def test_counts_what_each_unmatched_trigger_line_lacks(self):
         p = pattern({"ctdi", "kv", "mas", "slic"})
@@ -183,14 +203,14 @@ class TestMissingTokens:
             line("kv", "ctdi", "9.00", "slic"),  # lacks mas
             line("kv", "mas"),  # no trigger: counts nothing
         ]
-        assert missing_tokens(p, corpus) == Counter({"mas": 2, "slic": 1})
+        assert missing_tokens(p, corpus) == (2, Counter({"mas": 2, "slic": 1}))
 
     def test_an_alias_is_not_the_trigger(self):
         p = pattern({"ctdi", "kv"}, aliases={"ctdi", "ctdivol"})
-        assert missing_tokens(p, [line("ctdivol", "16.60", "kv")]) == Counter()
+        assert missing_tokens(p, [line("ctdivol", "16.60", "kv")]) == (0, Counter())
 
     def test_matching_corpus_lacks_nothing(self, bundle_a, lines_a):
-        assert missing_tokens(bundle_a.pattern, lines_a) == Counter()
+        assert missing_tokens(bundle_a.pattern, lines_a) == (0, Counter())
 
 
 class TestKpiTable:
