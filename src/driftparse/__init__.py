@@ -35,6 +35,7 @@ from .mining import (
     build_cluster_candidates,
     count_token_frequencies,
     find_frequent_tokens,
+    frequent_subsets,
     mine_clusters,
     select_clusters,
 )

@@ -7,9 +7,10 @@ stored as one row object: ``fill``, the row's most common value, plus
 and their values.  A trained row is nearly all smoothing floor, so this
 keeps a bundle small and its save and load short.  Every probability is a
 17-significant-digit decimal string, which makes saves byte-deterministic
-and load(save(x)) exact.  An Hmm checks its invariants when it is built, so
-a load that would build an invalid one raises BundleError instead.
-docs/bundle_schema.json describes the layout.
+and load(save(x)) exact; the writer formats each distinct value of a row
+once, as a row repeats a few values many times.  An Hmm checks its
+invariants when it is built, so a load that would build an invalid one
+raises BundleError instead.  docs/bundle_schema.json describes the layout.
 """
 
 from __future__ import annotations
@@ -48,17 +49,19 @@ def _sparse_row(row: np.ndarray) -> dict:
 
     Values are compared by their bits, which keeps 0.0 and -0.0 apart; a tie
     for the most common goes to the lowest bit pattern, so saves stay
-    byte-deterministic.
+    byte-deterministic.  Each distinct value is formatted once, however many
+    entries hold it: a trained row repeats a few values many times.
     """
     row = np.ascontiguousarray(row, dtype=np.float64)
     bits = row.view(np.uint64)
     patterns, first, counts = np.unique(bits, return_index=True, return_counts=True)
     common = int(np.argmax(counts))
     index = np.flatnonzero(bits != patterns[common])
+    text = list(map(_decimal, row[first].tolist()))
     return {
-        "fill": _decimal(row[first[common]]),
+        "fill": text[common],
         "index": index.tolist(),
-        "value": [_decimal(x) for x in row[index]],
+        "value": list(map(text.__getitem__, np.searchsorted(patterns, bits[index]).tolist())),
     }
 
 

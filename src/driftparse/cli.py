@@ -38,13 +38,17 @@ def _atomic_write_all(outputs) -> None:
     """Write each (path, writer) pair to a temp file beside its path, then rename each into place.
 
     A path that is a directory, which no rename can replace, is refused
-    before any writer runs, and every writer runs before the first rename,
-    so a failure here leaves none of the outputs written and no temp file.
-    An output may name an input of the run, so nothing else is deleted.
+    before any writer runs, and the writers run in order before the first
+    rename, so a failure here leaves none of the outputs written and no temp
+    file.  An output may name an input of the run, so nothing else is
+    deleted.  Each output gets the mode a plain open() gives a new file,
+    0o666 less the umask, not mkstemp's 0o600.
     """
     for path, _ in outputs:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    umask = os.umask(0)
+    os.umask(umask)
     tmps = []
     try:
         for path, writer in outputs:
@@ -52,6 +56,7 @@ def _atomic_write_all(outputs) -> None:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
             os.close(fd)
             tmps.append(tmp)
+            os.chmod(tmp, 0o666 & ~umask)
             writer(tmp)
         for (path, _), tmp in zip(outputs, tmps):
             os.replace(tmp, path)
@@ -93,13 +98,15 @@ def cmd_gen(args) -> int:
     )
     records, truth = generate_corpus(config)
     out = Path(args.output)
-    log_path, truth_path = out / "log.tsv", out / "truth.csv"
-    _atomic_write(log_path, lambda tmp: write_log(records, tmp))
-    _atomic_write(truth_path, lambda tmp: truth.write_csv(tmp))
-    _atomic_write(
-        out / "manifest.json",
-        lambda tmp: write_manifest(tmp, config, {"log.tsv": log_path, "truth.csv": truth_path}),
-    )
+    # one step for all three, so a file that cannot be written leaves none
+    # written; the writers run in order, and the manifest digests the log
+    # and truth temp files that the first two recorded in tmps
+    tmps = {}
+    _atomic_write_all([
+        (out / "log.tsv", lambda tmp: write_log(records, tmps.setdefault("log.tsv", tmp))),
+        (out / "truth.csv", lambda tmp: truth.write_csv(tmps.setdefault("truth.csv", tmp))),
+        (out / "manifest.json", lambda tmp: write_manifest(tmp, config, tmps)),
+    ])
     print(f"wrote {len(records)} events ({len(truth.rows)} KPI rows) to {out}")
     return 0
 

@@ -5,10 +5,10 @@ which training, parsing and adaptation read a line: every state occurrence
 that does not end the line pairs with the token after it.  The emission
 rule is not yet that rule: the model's alphabet leaves out a state token
 that follows a state, while the observations keep it, so such an
-observation encodes as <oov>.  build_hmm takes the start and transition
-counts of each distinct state run (a line's state tokens in order) once,
-weighted by the number of lines that share it: matching lines repeat a
-handful of runs.
+observation encodes as <oov>.  build_hmm counts in bulk, once per group
+of lines that share a state mask and a state run, with no (state,
+follower) tuple per pair: matching lines repeat a handful of groups.  Its
+counts are tested equal to a walk of every line's state_followers pairs.
 
 The forward-backward pass works in probability space with the forward
 variables rescaled to sum to 1 at every step (Rabiner 1989, section V.A),
@@ -52,11 +52,11 @@ contain unseen values by construction, so a hard failure would be wrong.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, pairwise
+from operator import itemgetter
 
 import numpy as np
 
@@ -227,6 +227,13 @@ def build_hmm(matching_lines: list[TokenSequence], state_tokens) -> Hmm:
     state_followers pairs whose follower is not a state token, a follower
     spelled <oov> counting in the OOV column that encode maps it to.
     Counts are smoothed by SMOOTHING_EPSILON and row-normalized.
+
+    The lines are counted in bulk.  Lines that agree in their state mask
+    (which positions hold a state) and their state run (their state tokens
+    in order) share one group.  Each group adds its start and transition
+    counts once, weighted by its lines, and counts the followers at each
+    position of its mask where a state precedes a non-state with one
+    Counter update over its lines' tokens at the next position.
     """
     if not matching_lines:
         raise ValueError("matching_lines must be non-empty")
@@ -236,34 +243,37 @@ def build_hmm(matching_lines: list[TokenSequence], state_tokens) -> Hmm:
     state_set = frozenset(states)
     sidx = {s: i for i, s in enumerate(states)}
 
-    runs: Counter[tuple[str, ...]] = Counter()
-    pair_counts: Counter[tuple[str, str]] = Counter()
+    groups: dict[tuple[bytes, tuple[str, ...]], list[tuple[str, ...]]] = {}
     for line in matching_lines:
         tokens = line.tokens
-        is_state = list(map(state_set.__contains__, tokens))
-        runs[tuple(compress(tokens, is_state))] += 1
-        # a state followed by a non-state: the state_followers pairs whose
-        # follower is not a state.  A follower that is itself a state token
-        # is left out of the alphabet, though the observations keep it.
-        # Counting it too moves the alphabet and refit iteration counts that
-        # perfbench/golden.json pins, so it waits for a benchmark change
-        # that re-records the goldens.
-        pair_counts.update(compress(pairwise(tokens), map(operator.gt, is_state, is_state[1:])))
+        mask = bytes(map(state_set.__contains__, tokens))
+        groups.setdefault((mask, tuple(compress(tokens, mask))), []).append(tokens)
 
-    # each distinct run once, weighted by its lines; integer sums, so exact
+    # integer sums, so exact in any order
     start_counts = np.zeros(len(states))
     trans_counts = np.zeros((len(states), len(states)))
-    for run, n in runs.items():
+    followers = [Counter() for _ in states]
+    for (mask, run), lines in groups.items():
+        n = len(lines)
         for s in run:
             start_counts[sidx[s]] += n
         for a, b in pairwise(run):
             trans_counts[sidx[a], sidx[b]] += n
+        # a state followed by a non-state emits its follower.  A follower
+        # that is itself a state token is left out of the alphabet, though
+        # the observations keep it.  Counting it too moves the alphabet and
+        # refit iteration counts that perfbench/golden.json pins, so it
+        # waits for a benchmark change that re-records the goldens.
+        at = [i for i, is_state in enumerate(mask) if is_state]
+        for i, s in zip(at, run):
+            if i + 1 < len(mask) and not mask[i + 1]:
+                followers[sidx[s]].update(map(itemgetter(i + 1), lines))
 
-    alphabet = tuple(sorted({e for _, e in pair_counts} - {OOV_TOKEN})) + (OOV_TOKEN,)
+    alphabet = tuple(sorted(set().union(*followers) - {OOV_TOKEN})) + (OOV_TOKEN,)
     eidx = {e: k for k, e in enumerate(alphabet)}
     emit_counts = np.zeros((len(states), len(alphabet)))
-    for (a, e), n in pair_counts.items():
-        emit_counts[sidx[a], eidx[e]] = n
+    for row, counts in zip(emit_counts, followers):
+        row[list(map(eidx.__getitem__, counts))] = list(counts.values())
 
     ps = _smooth_rows(start_counts)
     pt = _smooth_rows(trans_counts)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .preprocess import TokenSequence
 
@@ -42,17 +43,21 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class ClusterSelection:
-    """Every cluster at the threshold, best first."""
+    """Every cluster at the threshold, best first, plus each line's frequent tokens.
+
+    subsets[i] is the frequent subset of corpus line i, the one mining
+    counted it under; lines with equal subsets share one frozenset.  A
+    cluster is a subset of the frequent tokens, so a line carries every
+    token of a cluster exactly when its subset holds the cluster's tokens.
+    """
 
     clusters: tuple[PatternCluster, ...]
+    subsets: tuple[frozenset[str], ...]
 
 
 def count_token_frequencies(corpus: list[TokenSequence]) -> Counter:
     """Count, per token, the number of lines containing it at least once."""
-    counts = Counter()
-    for line in corpus:
-        counts.update(line.token_set())
-    return counts
+    return Counter(chain.from_iterable(map(TokenSequence.token_set, corpus)))
 
 
 def find_frequent_tokens(freqs: Counter, threshold: int) -> frozenset[str]:
@@ -62,21 +67,23 @@ def find_frequent_tokens(freqs: Counter, threshold: int) -> frozenset[str]:
     return frozenset(token for token, count in freqs.items() if count >= threshold)
 
 
-def build_cluster_candidates(
-    corpus: list[TokenSequence],
-    frequent: frozenset[str],
-) -> list[PatternCluster]:
-    """One candidate per distinct frequent-token subset seen in a line.
+def frequent_subsets(corpus: list[TokenSequence], frequent: frozenset[str]) -> list[frozenset[str]]:
+    """Each line's frequent tokens, in line order; equal subsets are one frozenset.
 
-    Support counts lines whose frequent subset equals the candidate's token
-    set.  Lines sharing no token with the frequent set contribute nothing.
+    Lines repeat a handful of subsets, so the list holds a handful of sets.
     """
-    subset_counts = Counter()
-    for line in corpus:
-        subset = line.token_set() & frequent
-        if subset:
-            subset_counts[subset] += 1
-    return [PatternCluster(frozenset(s), n) for s, n in subset_counts.items()]
+    distinct: dict[frozenset[str], frozenset[str]] = {}
+    return [distinct.setdefault(s, s) for s in (frequent.intersection(line.tokens) for line in corpus)]
+
+
+def build_cluster_candidates(subsets: list[frozenset[str]]) -> list[PatternCluster]:
+    """One candidate per distinct non-empty frequent subset, in order of first line.
+
+    Support counts the lines whose frequent subset equals the candidate's
+    token set.  Lines sharing no token with the frequent set contribute
+    nothing.
+    """
+    return [PatternCluster(s, n) for s, n in Counter(filter(None, subsets)).items()]
 
 
 def select_clusters(candidates: list[PatternCluster], threshold: int) -> list[PatternCluster]:
@@ -91,8 +98,14 @@ def select_clusters(candidates: list[PatternCluster], threshold: int) -> list[Pa
 
 
 def mine_clusters(corpus: list[TokenSequence], config: MiningConfig) -> ClusterSelection:
-    """Full mining pass: frequencies -> frequent tokens -> candidates -> ranked clusters."""
-    freqs = count_token_frequencies(corpus)
-    frequent = find_frequent_tokens(freqs, config.threshold)
-    candidates = build_cluster_candidates(corpus, frequent)
-    return ClusterSelection(tuple(select_clusters(candidates, config.threshold)))
+    """Full mining pass: frequencies -> frequent tokens -> candidates -> ranked clusters.
+
+    As in SLCT (Vaarandi 2003), one pass counts the tokens and one counts
+    the candidates.  The first builds one token set per line and drops it;
+    the second builds each line's frequent subset from its tokens, and
+    train reads a cluster's matching lines off those subsets.
+    """
+    frequent = find_frequent_tokens(count_token_frequencies(corpus), config.threshold)
+    subsets = frequent_subsets(corpus, frequent)
+    candidates = build_cluster_candidates(subsets)
+    return ClusterSelection(tuple(select_clusters(candidates, config.threshold)), tuple(subsets))

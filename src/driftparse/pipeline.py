@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from .bundle import ModelBundle
-from .hmm import build_hmm, state_followers
+from .hmm import build_hmm
 from .mining import MiningConfig, mine_clusters
 from .parsing import DEFAULT_KPI, KpiTable, ParsingPattern, parse_corpus
 from .preprocess import EventRecord, TokenSequence, may_yield, preprocess_event
@@ -17,6 +18,22 @@ class TrainingError(ValueError):
 
 def preprocess_corpus(records: list[EventRecord]) -> list[TokenSequence]:
     return [preprocess_event(r) for r in records]
+
+
+def _states_before(tokens: tuple[str, ...], value: str, state_set) -> set[str]:
+    """The states s of the state_followers pairs (s, value) of one line.
+
+    tuple.index finds each occurrence of value, and the token before it is
+    read, so a line is searched in C rather than paired token by token.  An
+    occurrence as the line's first token follows nothing.
+    """
+    found = set()
+    at = -1
+    for _ in range(tokens.count(value)):
+        at = tokens.index(value, at + 1)
+        if at and tokens[at - 1] in state_set:
+            found.add(tokens[at - 1])
+    return found
 
 
 def train(
@@ -53,13 +70,14 @@ def train(
             raise TrainingError(f"threshold would be zero: the truth table has no {kpi_name} rows")
     config = MiningConfig(threshold=threshold)
     corpus = preprocess_corpus(records)
-    for cluster in mine_clusters(corpus, config).clusters:
-        matching = [line for line in corpus if cluster.tokens <= line.token_set()]
+    selection = mine_clusters(corpus, config)
+    for cluster in selection.clusters:
+        matching = list(compress(corpus, map(cluster.tokens.__le__, selection.subsets)))
         hits: Counter[str] = Counter()
         for line in matching:
             value = values.get(line.event_id)
             if value is not None:
-                hits.update({s for s, b in state_followers(line.tokens, cluster.tokens) if b == value})
+                hits.update(_states_before(line.tokens, value, cluster.tokens))
         if hits:
             trigger = min(hits, key=lambda s: (-hits[s], s))
             model = build_hmm(matching, cluster.tokens)

@@ -34,7 +34,14 @@ from driftparse.hmm import (
     baum_welch_fit,
     sequence_loglikelihood,
 )
-from driftparse.mining import MiningConfig, build_cluster_candidates, count_token_frequencies, find_frequent_tokens, mine_clusters
+from driftparse.mining import (
+    MiningConfig,
+    build_cluster_candidates,
+    count_token_frequencies,
+    find_frequent_tokens,
+    frequent_subsets,
+    mine_clusters,
+)
 from driftparse.parsing import parse_corpus
 from driftparse.pipeline import parse_records, preprocess_corpus, train
 from driftparse.preprocess import EventRecord, is_canonical_number, is_number, preprocess_event
@@ -250,7 +257,7 @@ class TestAcceptance:
             }
 
             frequent = find_frequent_tokens(count_token_frequencies(corpus), threshold)
-            for cluster in build_cluster_candidates(corpus, frequent):
+            for cluster in build_cluster_candidates(frequent_subsets(corpus, frequent)):
                 recount = sum(
                     1 for line in corpus if (line.token_set() & frequent) == cluster.tokens
                 )
@@ -259,8 +266,8 @@ class TestAcceptance:
             freqs = count_token_frequencies(corpus)
             frequent_high = find_frequent_tokens(freqs, threshold + 1)
             assert frequent_high <= frequent
-            lower_sets = {c.tokens for c in build_cluster_candidates(corpus, frequent)}
-            for cluster in build_cluster_candidates(corpus, frequent_high):
+            lower_sets = {c.tokens for c in build_cluster_candidates(frequent_subsets(corpus, frequent))}
+            for cluster in build_cluster_candidates(frequent_subsets(corpus, frequent_high)):
                 assert any(cluster.tokens <= s for s in lower_sets)
         checked("7 miner properties", True, "100 cases x 3 properties")
 

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import json
 import math
 import re
@@ -207,6 +208,27 @@ class TestSparseRows:
         off_fill = sum(len(row) - Counter(row.view(np.uint64).tolist()).most_common(1)[0][1] for row in pe)
         listed = sum(len(row["value"]) for row in doc_of(bundle)["hmm"]["pe"])
         assert listed <= off_fill < pe.size // 10
+
+
+# sha256 of save_bundle(train(...)) on the gen corpora of seeds 0-2 at 800
+# events.  Training counts in bulk and the writer formats each distinct
+# value once; both must leave every byte as the per-pair counting and
+# per-entry formatting wrote it.  A change to the model or the format that
+# moves a byte re-records these.
+SAVED_DIGESTS = {
+    0: "92354ddb48df5bd9269b24928a35e52a18e114b335c263e56802475eec5145d7",
+    1: "bc3778114486a623b58209f6f90b0af39fd530ce0f62cc76a618a8a5ba56559f",
+    2: "847e7f3063d575b88c70c4048d5b39cf393f9c6a42b4832103488958748007d0",
+}
+
+
+class TestSavedBytes:
+    @pytest.mark.parametrize("seed", sorted(SAVED_DIGESTS))
+    def test_trained_bundle_bytes_are_pinned(self, tmp_path, seed):
+        records, truth = generate_corpus(GeneratorConfig(seed=seed, n_events=800))
+        path = tmp_path / "model.json"
+        save_bundle(train(records, truth), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_DIGESTS[seed]
 
 
 def stochastic_row(k):

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 from collections import Counter
 from pathlib import Path
@@ -58,6 +59,59 @@ class TestGen:
             assert code == 0
         assert (tmp_path / "x/log.tsv").read_bytes() == (tmp_path / "y/log.tsv").read_bytes()
         assert (tmp_path / "x/truth.csv").read_bytes() == (tmp_path / "y/truth.csv").read_bytes()
+
+    def test_a_manifest_that_cannot_be_written_leaves_no_file_written(self, tmp_path, capsys):
+        # the three files are written in one step: the log and truth table
+        # are not renamed into place before the manifest is written
+        manifest = tmp_path / "manifest.json"
+        manifest.mkdir()
+        code, out, err = run(capsys, "gen", "--seed", "3", "--events", "100", "-o", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [Errno 21] Is a directory: '{manifest}'\n"
+        assert list(tmp_path.iterdir()) == [manifest]
+        assert list(manifest.iterdir()) == []
+
+
+class TestOutputMode:
+    """Every output gets the mode a plain open() gives a new file: 0o666 less the umask."""
+
+    @pytest.fixture(params=[0o022, 0o077, 0o002], ids=oct)
+    def umask(self, request):
+        old = os.umask(request.param)
+        yield request.param
+        os.umask(old)
+
+    def test_every_command_s_outputs(self, workdir, tmp_path, capsys, umask):
+        model = tmp_path / "model.json"
+        steps = [
+            ["gen", "--seed", "3", "--events", "100", "-o", str(tmp_path / "g")],
+            ["train", str(workdir / "a/log.tsv"), str(workdir / "a/truth.csv"), "-o", str(model)],
+            ["parse", str(model), str(workdir / "b/log.tsv"), "-o", str(tmp_path / "parsed.csv")],
+            ["eval", str(tmp_path / "parsed.csv"), str(workdir / "b/truth.csv"), "--universe", "3000",
+             "--csv", str(tmp_path / "counts.csv")],
+            ["adapt", str(model), str(workdir / "b/log.tsv"), "--strategy", "viterbi", "-o", str(tmp_path / "vit.json")],
+        ]
+        for argv in steps:
+            assert run(capsys, *argv)[0] == 0
+        outputs = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert [p.relative_to(tmp_path).as_posix() for p in outputs] == [
+            "counts.csv", "g/log.tsv", "g/manifest.json", "g/truth.csv",
+            "model.json", "parsed.csv", "vit.json", "vit.json.report.json",
+        ]
+        assert {p.name: oct(p.stat().st_mode & 0o777) for p in outputs} == {
+            p.name: oct(0o666 & ~umask) for p in outputs
+        }
+
+    def test_adapt_over_an_existing_bundle(self, workdir, tmp_path, capsys, umask):
+        model = tmp_path / "model.json"
+        model.write_bytes((workdir / "model.json").read_bytes())
+        model.chmod(0o640)
+        code, _, _ = run(
+            capsys, "adapt", str(model), str(workdir / "b/log.tsv"), "--strategy", "viterbi", "-o", str(model),
+        )
+        assert code == 0
+        assert oct(model.stat().st_mode & 0o777) == oct(0o666 & ~umask)
 
 
 class TestTrain:

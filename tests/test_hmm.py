@@ -1011,6 +1011,32 @@ class TestTrainingOracles:
         threshold = data.draw(st.sampled_from((None, 1, 2, 3)))
         assert trained_trigger(records, truth, threshold=threshold) == reference_trigger(records, truth, threshold=threshold)
 
+    def test_bulk_counting_cases(self):
+        # build_hmm groups lines by state mask and state run: the first two
+        # lines share a mask but not a run, so a group whose run is read off
+        # its first line counts b's start and emission as a's.  Then a state
+        # that ends its line, a follower that is itself a state, and a line
+        # with no state.
+        corpus = [
+            TokenSequence(f"e{i}", tokens)
+            for i, tokens in enumerate([("a", "x"), ("b", "x"), ("x", "a"), ("a", "b", "y"), ("x", "y")])
+        ]
+        assert_same_model(build_hmm(corpus, {"a", "b"}), reference_build_hmm(corpus, {"a", "b"}))
+
+    def test_truth_value_before_and_after_states_and_non_states(self):
+        # each line has a ctdi value; c and b are in every line, x in three
+        # of four, so the cluster is {b, c}.  In the first line the value is
+        # the first token, follows the state c and follows the non-state y,
+        # and the state b ends the line: c scores one hit, b none, x three.
+        # Reading the token before a first-token value wraps round to b (a
+        # tie, won by b); counting non-states makes x the trigger; reading
+        # only the first or only the last occurrence leaves c no hit.
+        texts = ["1.00 c 1.00 y 1.00 b", "x 2.00 b c", "x 3.00 b c", "x 4.00 c b"]
+        records = [EventRecord(f"e{i}", "t", "scan", text) for i, text in enumerate(texts)]
+        truth = KpiTable([(f"e{i}", "ctdi", f"{i + 1}.00") for i in range(4)])
+        assert reference_trigger(records, truth) == "c"
+        assert trained_trigger(records, truth) == "c"
+
     def test_numeric_state_after_a_state(self):
         corpus = [TokenSequence("e0", ("a", "1.00", "x")), TokenSequence("e1", ("b", "1.00", "2.00"))]
         states = ("a", "b", "1.00")

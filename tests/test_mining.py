@@ -9,6 +9,7 @@ from driftparse.mining import (
     build_cluster_candidates,
     count_token_frequencies,
     find_frequent_tokens,
+    frequent_subsets,
     mine_clusters,
     select_clusters,
 )
@@ -17,6 +18,10 @@ from driftparse.preprocess import TokenSequence
 
 def lines(*token_lists):
     return [TokenSequence(f"e{i}", tuple(toks)) for i, toks in enumerate(token_lists)]
+
+
+def candidates(corpus, frequent):
+    return build_cluster_candidates(frequent_subsets(corpus, frequent))
 
 
 token_strategy = st.text(alphabet="abcdef", min_size=1, max_size=3)
@@ -54,12 +59,12 @@ class TestCounting:
 class TestCandidates:
     def test_identical_subsets_merge(self):
         corpus = lines(["a", "b", "v1"], ["b", "a", "v2"])
-        cands = build_cluster_candidates(corpus, frozenset({"a", "b"}))
+        cands = candidates(corpus, frozenset({"a", "b"}))
         assert cands == [PatternCluster(frozenset({"a", "b"}), 2)]
 
     def test_disjoint_line_contributes_nothing(self):
         corpus = lines(["x", "y"])
-        assert build_cluster_candidates(corpus, frozenset({"a"})) == []
+        assert candidates(corpus, frozenset({"a"})) == []
 
 
 class TestSelection:
@@ -112,13 +117,27 @@ class TestProperties:
     def test_support_recount_oracle(self, corpus, threshold):
         freqs = count_token_frequencies(corpus)
         frequent = find_frequent_tokens(freqs, threshold)
-        for cluster in build_cluster_candidates(corpus, frequent):
+        for cluster in candidates(corpus, frequent):
             containing = sum(1 for line in corpus if cluster.tokens <= line.token_set())
             exact = sum(
                 1 for line in corpus if (line.token_set() & frequent) == cluster.tokens
             )
             assert cluster.support == exact
             assert cluster.support <= containing
+
+    @given(corpus_strategy, st.integers(min_value=1, max_value=5))
+    @settings(max_examples=100, deadline=None)
+    def test_subsets_are_each_line_s_frequent_tokens(self, corpus, threshold):
+        # train reads a cluster's matching lines off these subsets
+        selection = mine_clusters(corpus, MiningConfig(threshold=threshold))
+        frequent = find_frequent_tokens(count_token_frequencies(corpus), threshold)
+        assert selection.subsets == tuple(line.token_set() & frequent for line in corpus)
+        for cluster in selection.clusters:
+            matching = [line for line in corpus if cluster.tokens <= line.token_set()]
+            assert matching == [line for line, s in zip(corpus, selection.subsets) if cluster.tokens <= s]
+        # equal subsets are one object, so the selection holds each distinct subset once
+        distinct = {s: s for s in selection.subsets}
+        assert all(s is distinct[s] for s in selection.subsets)
 
     @given(corpus_strategy, st.integers(min_value=1, max_value=4))
     @settings(max_examples=100, deadline=None)
@@ -129,8 +148,8 @@ class TestProperties:
         frequent_low = find_frequent_tokens(freqs, threshold)
         frequent_high = find_frequent_tokens(freqs, threshold + 1)
         assert frequent_high <= frequent_low
-        lower_sets = {c.tokens for c in build_cluster_candidates(corpus, frequent_low)}
-        for cluster in build_cluster_candidates(corpus, frequent_high):
+        lower_sets = {c.tokens for c in candidates(corpus, frequent_low)}
+        for cluster in candidates(corpus, frequent_high):
             assert any(cluster.tokens <= s for s in lower_sets)
 
 
